@@ -15,9 +15,10 @@ import numpy as np
 
 from . import fixtures, ingest, kde, ordering, simulate
 from .distributions import (
+    FAMILIES,
     Gamma,
-    Gaussian,
     Gumbel,
+    ParametricDistribution,
     PointMass,
     Weibull,
 )
@@ -31,14 +32,6 @@ _EXIT_BY_RELATION = {
     ordering.Relation.EQUIVALENT: 2,
     ordering.Relation.INCOMPARABLE: 3,
 }
-
-_FAMILIES = {
-    "gumbel": Gumbel,
-    "gamma": Gamma,
-    "weibull": Weibull,
-    "gaussian": Gaussian,
-}
-
 
 class CliError(Exception):
     pass
@@ -84,11 +77,11 @@ def load_source(spec):
             if len(values) != 1:
                 raise CliError("pointmass takes exactly one value")
             return name, PointMass(values[0])
-        if family not in _FAMILIES:
+        if family not in FAMILIES:
             raise CliError(f"unknown family {family!r}")
         if len(values) != 2:
             raise CliError(f"{family} takes exactly two parameters")
-        return name, _FAMILIES[family](*values)
+        return name, ParametricDistribution(family, *values)
     path, _, selector = spec.partition(":")
     if not os.path.exists(path):
         raise CliError(f"no such file: {path}")

@@ -9,14 +9,27 @@ expose density/CDF/survival evaluation plus log-domain moments.
 
 The Gumbel family follows the minimum-extreme-value parametrisation
 f(x|a,b) = (1/b) exp((x-a)/b - exp((x-a)/b)), i.e. scipy's ``gumbel_l``.
+Every family is evaluated from closed forms in ``scipy.special``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp
+from scipy.special import (
+    expm1,
+    gammainc,
+    gammaincc,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
+    log1p,
+    logsumexp,
+    ndtr,
+    ndtri,
+    xlogy,
+)
 
 from ._quad import expand_bound, log_power_integral, signed_log_moment
 from .errors import (
@@ -305,80 +318,169 @@ class PiecewisePolyDensity(LossDistribution):
         return float(log_power_integral(self.logpdf, self._breaks, [k])[0])
 
 
-_FAMILIES = ("gumbel", "gamma", "weibull", "gaussian")
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
+
+
+def norm_pdf(z):
+    """Standard normal density exp(-z^2/2) / sqrt(2 pi)."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
+class _Family(NamedTuple):
+    """Closed forms of one parametric family in the standardised variable
+    z = (x - loc) / scale (or the probability q), with shape ``c``.
+
+    Shaped families take a = shape, loc = 0 and live on [0, inf); the others
+    take a = loc and live on the real line.  ``log_moment(k, a, b)`` is the
+    closed-form log E[X^k], or None where the moments need quadrature.
+    """
+
+    shaped: bool
+    logpdf: Callable
+    pdf: Callable
+    cdf: Callable
+    sf: Callable
+    ppf: Callable
+    isf: Callable
+    log_moment: Callable | None = None
+
+
+#: family name -> closed forms; the formulas are scipy's gumbel_l, gamma,
+#: weibull_min and norm
+FAMILIES = {
+    "gumbel": _Family(
+        shaped=False,
+        logpdf=lambda z, c: z - np.exp(z),
+        pdf=lambda z, c: np.exp(z - np.exp(z)),
+        cdf=lambda z, c: -expm1(-np.exp(z)),
+        sf=lambda z, c: np.exp(-np.exp(z)),
+        ppf=lambda q, c: np.log(-log1p(-q)),
+        isf=lambda q, c: np.log(-np.log(q)),
+    ),
+    "gamma": _Family(
+        shaped=True,
+        logpdf=lambda z, c: xlogy(c - 1.0, z) - z - gammaln(c),
+        pdf=lambda z, c: np.exp(xlogy(c - 1.0, z) - z - gammaln(c)),
+        cdf=lambda z, c: gammainc(c, z),
+        sf=lambda z, c: gammaincc(c, z),
+        ppf=lambda q, c: gammaincinv(c, q),
+        isf=lambda q, c: gammainccinv(c, q),
+        log_moment=lambda k, a, b: k * np.log(b) + gammaln(a + k) - gammaln(a),
+    ),
+    "weibull": _Family(
+        shaped=True,
+        logpdf=lambda z, c: np.log(c) + xlogy(c - 1, z) - np.power(z, c),
+        pdf=lambda z, c: c * np.power(z, c - 1) * np.exp(-np.power(z, c)),
+        cdf=lambda z, c: -expm1(-np.power(z, c)),
+        sf=lambda z, c: np.exp(-np.power(z, c)),
+        ppf=lambda q, c: np.power(-log1p(-q), 1.0 / c),
+        isf=lambda q, c: np.power(-np.log(q), 1 / c),
+        log_moment=lambda k, a, b: k * np.log(b) + gammaln(1.0 + k / a),
+    ),
+    "gaussian": _Family(
+        shaped=False,
+        logpdf=lambda z, c: -z**2 / 2.0 - _LOG_SQRT_2PI,
+        pdf=lambda z, c: norm_pdf(z),
+        cdf=lambda z, c: ndtr(z),
+        sf=lambda z, c: ndtr(-z),
+        ppf=lambda q, c: ndtri(q),
+        isf=lambda q, c: -ndtri(q),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class ParametricDistribution(LossDistribution):
     """Smooth parametric family: gumbel(a=location, b=scale),
-    gamma(a=shape, b=scale), weibull(a=shape, b=scale), gaussian(mu, sigma)."""
+    gamma(a=shape, b=scale), weibull(a=shape, b=scale), gaussian(mu, sigma).
+
+    Evaluated with the closed forms of ``FAMILIES``: values outside the
+    support are masked, and ppf/isf return the support bounds at q = 0, 1.
+    """
 
     family: str
     a: float
     b: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.b <= 0:
             raise ValueError("scale parameter must be positive")
-        if self.family in ("gamma", "weibull") and self.a <= 0:
+        if FAMILIES[self.family].shaped and self.a <= 0:
             raise ValueError("shape parameter must be positive")
 
-    @cached_property
-    def _frozen(self):
-        if self.family == "gumbel":
-            return stats.gumbel_l(loc=self.a, scale=self.b)
-        if self.family == "gamma":
-            return stats.gamma(self.a, scale=self.b)
-        if self.family == "weibull":
-            return stats.weibull_min(self.a, scale=self.b)
-        return stats.norm(self.a, self.b)
+    @property
+    def _forms(self):
+        return FAMILIES[self.family]
 
     @property
     def support(self):
-        if self.family in ("gamma", "weibull"):
+        if self._forms.shaped:
             return SupportInterval(0.0, np.inf)
         return SupportInterval(-np.inf, np.inf)
 
+    # The forms get 1-d arrays even for scalar input, the shape as an array
+    # of the same length, and powers through np.power rather than ``**``:
+    # numpy's scalar, broadcast and ``**`` paths differ in the last bit, and
+    # these are the ones scipy takes.  Far tails overflow or divide by zero
+    # where the limit is exact.
+
+    def _on_support(self, form, x, below):
+        """``form`` at z = (x - loc) / scale, and ``below`` left of the support."""
+        x = np.asarray(x, dtype=float)
+        loc, lower = (0.0, 0.0) if self._forms.shaped else (self.a, -np.inf)
+        z = (np.atleast_1d(x) - loc) / self.b
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inside = form(np.maximum(z, lower), np.full(z.shape, self.a))
+        return np.where(z < lower, below, inside).reshape(x.shape)[()]
+
+    def _quantile(self, form, q, at0, at1):
+        """``form`` at 0 < q < 1 mapped back to x, the bounds at q = 0 and 1."""
+        q = np.asarray(q, dtype=float)
+        loc = 0.0 if self._forms.shaped else self.a
+        flat = np.atleast_1d(q)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inside = form(flat, np.full(flat.shape, self.a)) * self.b + loc
+        out = np.select(
+            [flat == 0, flat == 1, (flat > 0) & (flat < 1)], [at0, at1, inside], np.nan
+        )
+        return out.reshape(q.shape)[()]
+
     def pdf(self, x):
-        return self._frozen.pdf(x)
+        return self._on_support(self._forms.pdf, x, 0.0) / self.b
 
     def logpdf(self, x):
-        # gumbel_l overflows in exp() far out in the right tail where the
-        # log-density is -inf anyway
-        with np.errstate(over="ignore"):
-            return self._frozen.logpdf(x)
+        return self._on_support(self._forms.logpdf, x, -np.inf) - np.log(self.b)
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        return self._on_support(self._forms.cdf, x, 0.0)
 
     def sf(self, x):
-        return self._frozen.sf(x)
+        return self._on_support(self._forms.sf, x, 1.0)
 
     def ppf(self, q):
-        return self._frozen.ppf(q)
+        return self._quantile(self._forms.ppf, q, self.support.lower, np.inf)
 
     def isf(self, q):
-        return self._frozen.isf(q)
+        return self._quantile(self._forms.isf, q, np.inf, self.support.lower)
 
     def _log_moment(self, k):
-        if self.family == "gamma":
-            return k * np.log(self.b) + gammaln(self.a + k) - gammaln(self.a)
-        if self.family == "weibull":
-            return k * np.log(self.b) + float(gammaln(1.0 + k / self.a))
-        lo, hi = _moment_window(self._frozen, k)
+        if self._forms.log_moment is not None:
+            return self._forms.log_moment(k, self.a, self.b)
+        lo, hi = _moment_window(self, k)
         return signed_log_moment(self.logpdf, lo, hi, k)
 
 
-def _moment_window(frozen, k):
-    """Integration window wide enough for the x^k-weighted density."""
-    lo = float(frozen.ppf(1e-18))
-    hi = float(frozen.isf(1e-18))
+def _moment_window(d, k):
+    """Integration window wide enough for the x^k-weighted density of d."""
+    lo = float(d.ppf(1e-18))
+    hi = float(d.isf(1e-18))
     step = max(1.0, 0.05 * (hi - lo))
 
     def logw(x):
-        return k * np.log(max(abs(x), 1e-300)) + float(frozen.logpdf(x))
+        return k * np.log(max(abs(x), 1e-300)) + float(d.logpdf(x))
 
     hi = expand_bound(logw, hi, step, +1)
     if lo < 0:
@@ -454,7 +556,7 @@ class TruncatedDistribution(LossDistribution):
     def _log_moment(self, k):
         lo, hi = self.window.lower, self.window.upper
         if not np.isfinite(lo):
-            lo = float(_moment_window(self.base._frozen, k)[0]) \
+            lo = float(_moment_window(self.base, k)[0]) \
                 if isinstance(self.base, ParametricDistribution) else hi - 1.0
         return signed_log_moment(self.logpdf, lo, hi, k)
 
@@ -512,11 +614,14 @@ class LatticeDistribution(LossDistribution):
         return float(np.exp(self._log_pmf(int(j))))
 
     def cdf(self, x):
-        x = float(np.asarray(x, dtype=float))
-        if x < self.lower:
-            return 0.0
-        top = int(np.floor(x))
-        return min(1.0, sum(self.pmf(j) for j in range(self.lower, top + 1)))
+        x = np.asarray(x, dtype=float)
+        # number of support points at or below x, capped like the scans below
+        counts = np.clip(np.floor(x) - self.lower + 1, 0, self._CAP)
+        n = int(np.nanmax(counts, initial=0))
+        pmfs = [self.pmf(j) for j in range(self.lower, self.lower + n)]
+        cum = np.minimum(1.0, np.cumsum([0.0, *pmfs]))
+        out = cum[np.nan_to_num(counts).astype(int)]
+        return np.where(np.isnan(x), np.nan, out)[()]
 
     def quantile(self, q):
         """Smallest support point j with CDF(j) >= q."""

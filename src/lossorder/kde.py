@@ -11,16 +11,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from ._quad import expand_bound, signed_log_moment
-from .distributions import LossDistribution, SupportInterval
+from .distributions import _SQRT_2PI, LossDistribution, SupportInterval, norm_pdf
 from .errors import EmptyData
 
 __all__ = ["KernelDensityEstimate", "fit", "hermite_he", "compare_kdes"]
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def hermite_he(u, k):
@@ -71,7 +68,7 @@ class KernelDensityEstimate(LossDistribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = stats.norm.pdf(self._u(x)).mean(axis=1) / self.bandwidth
+        out = norm_pdf(self._u(x)).mean(axis=1) / self.bandwidth
         return out.reshape(x.shape)[()]
 
     def logpdf(self, x):
@@ -84,12 +81,12 @@ class KernelDensityEstimate(LossDistribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = stats.norm.cdf(self._u(x)).mean(axis=1)
+        out = ndtr(self._u(x)).mean(axis=1)
         return out.reshape(x.shape)[()]
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        out = stats.norm.sf(self._u(x)).mean(axis=1)
+        out = ndtr(-self._u(x)).mean(axis=1)
         return out.reshape(x.shape)[()]
 
     def isf(self, q):
@@ -109,7 +106,7 @@ class KernelDensityEstimate(LossDistribution):
         if k == 0:
             return float(self.pdf(x))
         u = (float(x) - self._x) / self.bandwidth
-        terms = hermite_he(u, k) * stats.norm.pdf(u)
+        terms = hermite_he(u, k) * norm_pdf(u)
         sign = -1.0 if k % 2 else 1.0
         return float(sign * terms.sum() / (self.n * self.bandwidth ** (k + 1)))
 

@@ -16,8 +16,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import logsumexp
 
+from . import _quad  # looked up per call, so wrappers set on _quad see it
 from .distributions import (
     CategoricalDistribution,
     HistogramDistribution,
@@ -28,6 +29,7 @@ from .distributions import (
     PointMass,
     TruncatedDistribution,
     descending_pmf,
+    norm_pdf,
     truncate,
 )
 from .errors import (
@@ -160,16 +162,12 @@ def _log_moments(d, ks):
         mask = probs > 0
         logs = np.log(probs[mask])
         logv = np.log(values[mask])
-        from scipy.special import logsumexp
-
         return logsumexp(
             logs[None, :] + np.asarray(ks)[:, None] * logv[None, :], axis=1
         )
     if isinstance(d, TruncatedDistribution) and d.window.lower > 0:
-        from ._quad import log_power_integral
-
         edges = np.linspace(d.window.lower, d.window.upper, 129)
-        return log_power_integral(d.logpdf, edges, ks)
+        return _quad.log_power_integral(d.logpdf, edges, ks)
     return np.array([d.log_moment(int(k)) for k in ks])
 
 
@@ -264,8 +262,6 @@ class _DerivativeUnavailable(LossOrderError):
 def density_derivative(d, x, k):
     """k-th derivative of a density at x, via closed forms where available."""
     if k == 0:
-        if isinstance(d, (KernelDensityEstimate, TruncatedDistribution, PiecewisePolyDensity)):
-            return float(d.pdf(x))
         return float(d.pdf(x))
     if isinstance(d, KernelDensityEstimate):
         return d.derivative(x, k)
@@ -276,7 +272,7 @@ def density_derivative(d, x, k):
     if isinstance(d, ParametricDistribution) and d.family == "gaussian":
         u = (float(x) - d.a) / d.b
         sign = -1.0 if k % 2 else 1.0
-        return float(sign * hermite_he(u, k) * stats.norm.pdf(u) / d.b ** (k + 1))
+        return float(sign * hermite_he(u, k) * norm_pdf(u) / d.b ** (k + 1))
     raise _DerivativeUnavailable(f"no derivative rule for {type(d).__name__}")
 
 

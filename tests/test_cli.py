@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lossorder
 from lossorder import cli
 from lossorder.fixtures import _read
 
@@ -178,3 +183,11 @@ class TestReproduce:
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "reproduce", "--only", "nonsense")
         assert code == 10
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # importing scipy.stats costs about a second of every CLI call
+    src = str(Path(lossorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, lossorder.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

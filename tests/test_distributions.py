@@ -23,6 +23,7 @@ from lossorder.errors import (
     MomentsUndefined,
     NoDensity,
 )
+from lossorder.ordering import Relation, compare, tail_threshold
 
 
 class TestSupportInterval:
@@ -189,6 +190,66 @@ class TestParametric:
             Gaussian(0.0, 1.0).log_moment(1)
 
 
+def _scipy_frozen(d):
+    if d.family == "gumbel":
+        return stats.gumbel_l(loc=d.a, scale=d.b)
+    if d.family == "gamma":
+        return stats.gamma(d.a, scale=d.b)
+    if d.family == "weibull":
+        return stats.weibull_min(d.a, scale=d.b)
+    return stats.norm(d.a, d.b)
+
+
+# the paper's six parameter sets, shapes below 1, and a Gaussian
+FAMILY_CASES = [
+    Gumbel(31.0063, 1.74346),
+    Gumbel(32.0063, 1.74346),
+    Gumbel(6.27294, 2.20532),
+    Gumbel(6.19073, 2.06288),
+    Gamma(260.345, 0.0373929),
+    Weibull(20.0, 10.0),
+    Gamma(0.5, 2.0),
+    Weibull(0.5, 3.0),
+    Gaussian(10.0, 2.0),
+]
+
+
+class TestFamilyFormulas:
+    """The closed forms in FAMILIES agree with scipy.stats (which the library
+    does not import, for its start-up cost)."""
+
+    def grid(self, frozen):
+        lower = frozen.support()[0]
+        below = [-5.0, -1e-3] if lower == 0 else [frozen.ppf(1e-300) - 10.0]
+        bulk = frozen.ppf([1e-6, 0.1, 0.5, 0.9]).tolist()
+        tail = frozen.isf(1e-300)
+        while frozen.sf(tail) > 0:  # push on until the survival underflows
+            tail *= 2
+        return np.array(below + [0.0] + bulk + [frozen.isf(1e-300), tail])
+
+    @pytest.mark.parametrize("d", FAMILY_CASES, ids=repr)
+    def test_matches_scipy_stats(self, d):
+        frozen = _scipy_frozen(d)
+        xs = self.grid(frozen)
+        # the support bounds at 0 and 1, nan outside [0, 1]
+        qs = np.array([0.0, 1e-300, 1e-18, 0.5, 1.0, -0.1, 1.5])
+        assert frozen.sf(xs[-1]) == 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            for method, points in [
+                ("pdf", xs), ("logpdf", xs), ("cdf", xs), ("sf", xs),
+                ("ppf", qs), ("isf", qs),
+            ]:
+                want = getattr(frozen, method)(points)
+                np.testing.assert_allclose(
+                    getattr(d, method)(points), want, rtol=1e-12, atol=0,
+                    err_msg=f"{d!r}.{method}",
+                )
+                for x, w in zip(points, want):
+                    got = getattr(d, method)(x)
+                    assert np.ndim(got) == 0
+                    np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
+
+
 class TestTruncated:
     def test_renormalization(self):
         base = Gamma(2.0, 1.0)
@@ -246,6 +307,22 @@ class TestLattice:
         values, probs = descending_pmf(t)
         assert values.tolist() == [3.0, 2.0, 1.0]
         assert probs == pytest.approx(np.array([1, 2, 4]) / 7.0)
+
+    def test_cdf_takes_arrays(self):
+        g = self.geometric()
+        xs = np.array([[0.5, 1.0], [2.5, 3.0]])
+        assert g.cdf(xs) == pytest.approx(np.array([[0.0, 0.5], [0.75, 0.875]]))
+        assert np.ndim(g.cdf(3.0)) == 0
+
+    def test_point_mass_pair_gets_certificate(self):
+        # a strict verdict must be certifiable, and the certificate evaluates
+        # the lattice's survival on a whole grid at once
+        g = self.geometric()
+        verdict = compare(g, PointMass(3.0))
+        assert verdict.relation is Relation.SECOND_STRICT
+        t = tail_threshold(g, PointMass(3.0), verdict)
+        assert t.x0 == pytest.approx(3.0)
+        assert all(s_point <= s_lattice for _, s_lattice, s_point in t.grid)
 
     def test_moment_matches_series(self):
         g = self.geometric()
