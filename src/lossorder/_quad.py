@@ -4,7 +4,8 @@ Moments E[X^k] overflow ordinary floating point long before k reaches the
 prefix lengths used by the ordering engine, so every integral here is carried
 as log of a sum of positive terms.  Composite Gauss-Legendre panels are
 refined by doubling until the log-integral stabilises, with a hard cap on the
-number of panels.
+number of panels.  The bisection that inverts survival functions and
+refines tail thresholds lives here too.
 """
 
 import numpy as np
@@ -113,3 +114,15 @@ def expand_bound(logweight, start, step, direction):
             return x
         step *= 1.4
     return x
+
+
+def bisect(pred, lo, hi, steps):
+    """Halve [lo, hi] ``steps`` times, keeping ``pred`` true at lo and false
+    at hi; returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -182,16 +182,7 @@ def _split_samples(args):
     with open(args.series, "rb") as fh:
         data = fh.read()
     if args.group_by:
-        text = data.decode("utf-8")
-        import csv
-        import io
-
-        rows = csv.DictReader(io.StringIO(text))
-        groups = {}
-        for row in rows:
-            key = row[args.group_by]
-            score = row.get("cvss") or row.get("score")
-            groups.setdefault(key, []).append(float(score))
+        groups = ingest.parse_scores(data, args.group_by)
         keys = sorted(groups)
         if len(keys) != 2:
             raise CliError(f"need exactly two groups, found {len(keys)}")

@@ -4,8 +4,21 @@ Every admissible representation of a loss distribution lives here: finite
 categorical/histogram data, piecewise-polynomial densities on compact
 support, the smooth parametric families used by the comparison examples
 (Gumbel, Gamma, Weibull, Gaussian), truncations, point masses, and discrete
-lattice distributions with unbounded support.  All objects are immutable and
-expose density/CDF/survival evaluation plus log-domain moments.
+lattice distributions with unbounded support.  All objects are immutable.
+
+A representation subclasses ``LossDistribution`` and implements ``support``,
+``pdf`` (raising ``NoDensity`` if it has none), ``cdf`` (``sf`` defaults to
+1 - cdf) and ``_log_moment(k)``, the log-domain moment log E[X^k].  Where it
+knows better than the generic forms, it overrides:
+
+- ``log_moments(ks)``: the moments of several orders at once (default: one
+  ``log_moment`` per order);
+- ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
+  k = 0, ``DerivativeUnavailable`` above);
+- ``isf(q)``: the inverse survival function (default: bisection on ``sf``).
+
+Three class flags describe it to the comparison rules: ``has_density``,
+``is_discrete`` and ``from_samples`` (a kernel estimate over raw samples).
 
 The Gumbel family follows the minimum-extreme-value parametrisation
 f(x|a,b) = (1/b) exp((x-a)/b - exp((x-a)/b)), i.e. scipy's ``gumbel_l``.
@@ -31,8 +44,9 @@ from scipy.special import (
     xlogy,
 )
 
-from ._quad import expand_bound, log_power_integral, signed_log_moment
+from ._quad import bisect, expand_bound, log_power_integral, signed_log_moment
 from .errors import (
+    DerivativeUnavailable,
     EmptyTruncation,
     InvalidOrder,
     MomentsUndefined,
@@ -90,6 +104,8 @@ class LossDistribution:
     has_density = True
     #: whether the distribution is supported on a finite/countable set
     is_discrete = False
+    #: whether it is a kernel estimate over raw samples
+    from_samples = False
 
     @property
     def support(self) -> SupportInterval:
@@ -117,20 +133,49 @@ class LossDistribution:
     def _log_moment(self, k):
         raise NotImplementedError
 
+    def log_moments(self, ks):
+        """log E[X^k] for each order in ``ks``, as an array."""
+        return np.array([self.log_moment(int(k)) for k in ks])
 
-def _discrete_log_moment(values, probs, k):
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    mask = probs > 0
-    if not mask.any():
-        raise MomentsUndefined("distribution carries no mass")
-    if (values[mask] <= 0).any():
-        raise MomentsUndefined("log-domain moments need strictly positive outcomes")
-    return float(logsumexp(np.log(probs[mask]) + k * np.log(values[mask])))
+    def derivative(self, x, k):
+        """k-th derivative of the density at x."""
+        if k == 0:
+            return float(self.pdf(x))
+        raise DerivativeUnavailable(f"no derivative rule for {type(self).__name__}")
+
+    def isf(self, q):
+        """Inverse survival function, by bisection on ``sf`` over the support
+        (from [1, 2], doubled up to 1e12, when the support is unbounded)."""
+        lo, hi = self.support.lower, self.support.upper
+        if not np.isfinite(hi):
+            lo, hi = 1.0, 2.0
+            while self.sf(hi) > q and hi < 1e12:
+                lo, hi = hi, hi * 2
+        lo, hi = bisect(lambda x: self.sf(x) > q, lo, hi, 200)
+        return 0.5 * (lo + hi)
+
+
+class _FinitePmf(LossDistribution):
+    """Finite pmf: moments are one log-sum over its atoms."""
+
+    has_density = False
+    is_discrete = True
+
+    def log_moments(self, ks):
+        values, probs = descending_pmf(self)
+        mask = probs > 0
+        if (values[mask] <= 0).any():
+            raise MomentsUndefined("log-domain moments need strictly positive outcomes")
+        logs = np.log(probs[mask])
+        logv = np.log(values[mask])
+        return logsumexp(logs[None, :] + np.asarray(ks)[:, None] * logv[None, :], axis=1)
+
+    def _log_moment(self, k):
+        return float(self.log_moments([k])[0])
 
 
 @dataclass(frozen=True)
-class CategoricalDistribution(LossDistribution):
+class CategoricalDistribution(_FinitePmf):
     """Finite categorical distribution over severity-ranked labels.
 
     ``labels`` and ``ranks`` are listed in strictly descending severity order
@@ -141,9 +186,6 @@ class CategoricalDistribution(LossDistribution):
     labels: tuple
     ranks: tuple
     probs: tuple
-
-    has_density = False
-    is_discrete = True
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -181,19 +223,13 @@ class CategoricalDistribution(LossDistribution):
             ranks[None, ...] <= np.atleast_1d(x)[..., None], probs, 0.0
         ).sum(axis=-1).reshape(x.shape)[()]
 
-    def _log_moment(self, k):
-        return _discrete_log_moment(self.ranks, self.probs, k)
-
 
 @dataclass(frozen=True)
-class HistogramDistribution(LossDistribution):
+class HistogramDistribution(_FinitePmf):
     """Empirical distribution given by per-bin counts on ascending loss values."""
 
     bin_values: tuple
     counts: tuple
-
-    has_density = False
-    is_discrete = True
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.bin_values)
@@ -232,9 +268,6 @@ class HistogramDistribution(LossDistribution):
         idx = np.searchsorted(values, np.atleast_1d(x), side="right")
         cum = np.concatenate([[0.0], np.cumsum(probs)])
         return cum[idx].reshape(x.shape)[()]
-
-    def _log_moment(self, k):
-        return _discrete_log_moment(self.bin_values, self.probs, k)
 
 
 class PiecewisePolyDensity(LossDistribution):
@@ -325,6 +358,21 @@ _LOG_SQRT_2PI = np.log(_SQRT_2PI)
 def norm_pdf(z):
     """Standard normal density exp(-z^2/2) / sqrt(2 pi)."""
     return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
+def hermite_he(u, k):
+    """Probabilists' Hermite polynomial He_k evaluated elementwise.
+
+    Uses the recurrence He_0 = 1, He_1 = u, He_k = u He_{k-1} - (k-1) He_{k-2}.
+    """
+    u = np.asarray(u, dtype=float)
+    prev = np.ones_like(u)
+    if k == 0:
+        return prev
+    cur = u.copy()
+    for j in range(2, k + 1):
+        prev, cur = cur, u * cur - (j - 1) * prev
+    return cur
 
 
 class _Family(NamedTuple):
@@ -427,14 +475,19 @@ class ParametricDistribution(LossDistribution):
     # these are the ones scipy takes.  Far tails overflow or divide by zero
     # where the limit is exact.
 
-    def _on_support(self, form, x, below):
-        """``form`` at z = (x - loc) / scale, and ``below`` left of the support."""
+    def _on_support(self, form, x, below, at_inf=None):
+        """``form`` at z = (x - loc) / scale, ``below`` left of the support
+        and, if given, ``at_inf`` at x = +inf, where the density forms give
+        inf - inf (the cdf and sf forms reach their limits there)."""
         x = np.asarray(x, dtype=float)
         loc, lower = (0.0, 0.0) if self._forms.shaped else (self.a, -np.inf)
         z = (np.atleast_1d(x) - loc) / self.b
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inside = form(np.maximum(z, lower), np.full(z.shape, self.a))
-        return np.where(z < lower, below, inside).reshape(x.shape)[()]
+        out = np.where(z < lower, below, inside)
+        if at_inf is not None:
+            out = np.where(z == np.inf, at_inf, out)
+        return out.reshape(x.shape)[()]
 
     def _quantile(self, form, q, at0, at1):
         """``form`` at 0 < q < 1 mapped back to x, the bounds at q = 0 and 1."""
@@ -449,10 +502,10 @@ class ParametricDistribution(LossDistribution):
         return out.reshape(q.shape)[()]
 
     def pdf(self, x):
-        return self._on_support(self._forms.pdf, x, 0.0) / self.b
+        return self._on_support(self._forms.pdf, x, 0.0, 0.0) / self.b
 
     def logpdf(self, x):
-        return self._on_support(self._forms.logpdf, x, -np.inf) - np.log(self.b)
+        return self._on_support(self._forms.logpdf, x, -np.inf, -np.inf) - np.log(self.b)
 
     def cdf(self, x):
         return self._on_support(self._forms.cdf, x, 0.0)
@@ -465,6 +518,14 @@ class ParametricDistribution(LossDistribution):
 
     def isf(self, q):
         return self._quantile(self._forms.isf, q, np.inf, self.support.lower)
+
+    def derivative(self, x, k):
+        """Closed form for the Gaussian: (-1)^k He_k(u) phi(u) / sigma^(k+1)."""
+        if k == 0 or self.family != "gaussian":
+            return super().derivative(x, k)
+        u = (float(x) - self.a) / self.b
+        sign = -1.0 if k % 2 else 1.0
+        return float(sign * hermite_he(u, k) * norm_pdf(u) / self.b ** (k + 1))
 
     def _log_moment(self, k):
         if self._forms.log_moment is not None:
@@ -549,9 +610,13 @@ class TruncatedDistribution(LossDistribution):
         return np.clip((self.base.cdf(clipped) - lo_cdf) / self._mass, 0.0, 1.0)[()]
 
     def derivative(self, x, k):
-        from .ordering import density_derivative  # deferred, avoids cycle
+        return self.base.derivative(x, k) / self._mass
 
-        return density_derivative(self.base, x, k) / self._mass
+    def log_moments(self, ks):
+        if self.window.lower <= 0:
+            return super().log_moments(ks)
+        edges = np.linspace(self.window.lower, self.window.upper, 129)
+        return log_power_integral(self.logpdf, edges, ks)
 
     def _log_moment(self, k):
         lo, hi = self.window.lower, self.window.upper
@@ -631,6 +696,9 @@ class LatticeDistribution(LossDistribution):
             if acc >= q:
                 return j
         raise MomentsUndefined("quantile scan exceeded lattice cap")
+
+    def isf(self, q):
+        return self.quantile(1.0 - q)
 
     def truncated(self, a, b):
         """Renormalised finite restriction to integer points in [a, b]."""

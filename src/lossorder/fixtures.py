@@ -9,9 +9,10 @@ Nile annual-flow series (1871-1970).
 from importlib import resources
 
 import numpy as np
+from scipy.special import gammaln
 
 from .distributions import LatticeDistribution
-from .ingest import ScaleSpec, parse_counts, parse_ratings, parse_series
+from .ingest import ScaleSpec, parse_counts, parse_ratings, parse_scores, parse_series
 
 __all__ = [
     "load_cvss_ratings",
@@ -33,14 +34,7 @@ def load_cvss_ratings():
 
 def load_cvss_scores():
     """Raw CVSS score samples per scenario (for the KDE workflow)."""
-    import csv
-    import io
-
-    rows = csv.DictReader(io.StringIO(_read("table1.csv")))
-    out = {}
-    for row in rows:
-        out.setdefault(row["scenario"], []).append(float(row["cvss"]))
-    return out
+    return parse_scores(_read("table1.csv"))
 
 
 def load_outbreak_histograms():
@@ -67,8 +61,6 @@ def poisson_like_pair(lam=1.0):
         if v < 2 or v % 2:
             return -np.inf
         j = v // 2
-        from scipy.special import gammaln
-
         # Poisson(lam) on j >= 1, renormalised to exclude j = 0
         return j * log_lam - gammaln(j + 1) - lam - np.log1p(-np.exp(-lam))
 
@@ -76,8 +68,6 @@ def poisson_like_pair(lam=1.0):
         if v < 1 or v % 2 == 0:
             return -np.inf
         j = (v - 1) // 2
-        from scipy.special import gammaln
-
         return j * log_lam - gammaln(j + 1) - lam
 
     even = LatticeDistribution(log_even, lower=2, name="even-lattice")

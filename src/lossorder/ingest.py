@@ -1,15 +1,16 @@
 """Parsing of external data files into distribution objects.
 
-Three delimited-text layouts are supported: per-expert rating records that
-are coarsened onto an ordered category scale, bin/count tables with one
-column per configuration, and plain numeric series (optionally split into
-two groups).  A small JSON interchange format round-trips the distribution
-objects themselves.
+Three delimited-text layouts are supported: per-expert rating records, read
+as raw scores per group or coarsened onto an ordered category scale,
+bin/count tables with one column per configuration, and plain numeric
+series (optionally split into two groups).  A small JSON interchange format
+round-trips the distribution objects themselves.
 """
 
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +27,17 @@ from .errors import (
     RowError,
     ScaleViolation,
 )
-from .kde import KernelDensityEstimate
+from .kde import KernelDensityEstimate, silverman_bandwidth
 
 __all__ = [
-    "RatingRecord",
     "ScaleSpec",
+    "parse_scores",
     "parse_ratings",
     "parse_counts",
     "parse_series",
     "to_json",
     "from_json",
 ]
-
-
-@dataclass(frozen=True)
-class RatingRecord:
-    """One expert's score for one scenario."""
-
-    expert_id: str
-    scenario: str
-    score: float
-    category: str | None = None
 
 
 @dataclass(frozen=True)
@@ -117,12 +108,12 @@ def _reader(data, delimiter):
     return csv.reader(io.StringIO(_as_text(data)), delimiter=delimiter)
 
 
-def parse_ratings(data, scale, group_by="scenario", delimiter=","):
-    """Parse rating records and coarsen each group onto the category scale.
+def parse_scores(data, group_by="scenario", delimiter=","):
+    """Parse rating records into the raw scores of each group.
 
     The input needs a header naming at least a score column (``cvss`` or
-    ``score``) and the grouping column.  Returns a dict mapping each group
-    key to a CategoricalDistribution on the scale's categories.
+    ``score``, in any case) and the grouping column.  Returns a dict mapping
+    each group key to its scores, in file order.
     """
     rows = _reader(data, delimiter)
     try:
@@ -140,7 +131,7 @@ def parse_ratings(data, scale, group_by="scenario", delimiter=","):
             break
     if score_col is None:
         raise RowError("missing a 'cvss' or 'score' column", line=1)
-    counts = {}
+    groups = {}
     for lineno, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -151,18 +142,24 @@ def parse_ratings(data, scale, group_by="scenario", delimiter=","):
             score = float(row[score_col])
         except ValueError:
             raise RowError(f"unparseable score {row[score_col]!r}", line=lineno)
-        label = scale.categorize(score)
-        group = counts.setdefault(key, {l: 0 for l in scale.labels})
-        group[label] += 1
-    if not counts:
+        groups.setdefault(key, []).append(score)
+    if not groups:
         raise EmptyData("rating file has no data rows")
+    return groups
+
+
+def parse_ratings(data, scale, group_by="scenario", delimiter=","):
+    """Parse rating records (as ``parse_scores``) and coarsen each group onto
+    the category scale.  Returns a dict mapping each group key to a
+    CategoricalDistribution on the scale's categories.
+    """
     out = {}
-    for key, group in counts.items():
-        total = sum(group.values())
+    for key, scores in parse_scores(data, group_by, delimiter).items():
+        counts = Counter(scale.categorize(score) for score in scores)
         out[key] = CategoricalDistribution(
             labels=scale.labels,
             ranks=scale.ranks,
-            probs=tuple(group[l] / total for l in scale.labels),
+            probs=tuple(counts[l] / len(scores) for l in scale.labels),
         )
     return out
 
@@ -306,8 +303,6 @@ def from_json(text):
         p = doc["parameters"]
         return ParametricDistribution(p["family"], p["a"], p["b"])
     if kind == "samples":
-        from .kde import silverman_bandwidth
-
         samples = tuple(doc["samples"])
         h = doc.get("bandwidth") or silverman_bandwidth(samples)
         return KernelDensityEstimate(samples, h)

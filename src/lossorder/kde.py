@@ -4,7 +4,9 @@ Bandwidths follow Silverman's rule-of-thumb (the ``nrd0`` default of common
 statistics packages): h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with quartiles
 computed by linear interpolation (type-7).  Derivatives of any order come in
 closed form through probabilists' Hermite polynomials, which is what makes
-the derivative-lexicographic comparison of two estimates practical.
+the derivative-lexicographic comparison of two estimates practical.  That
+comparison, ``compare_kdes``, is a rule of ``ordering`` and is re-exported
+here.
 """
 
 from dataclasses import dataclass
@@ -13,26 +15,18 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from ._quad import expand_bound, signed_log_moment
-from .distributions import _SQRT_2PI, LossDistribution, SupportInterval, norm_pdf
+from ._quad import bisect, expand_bound, signed_log_moment
+from .distributions import (
+    _SQRT_2PI,
+    LossDistribution,
+    SupportInterval,
+    hermite_he,
+    norm_pdf,
+)
 from .errors import EmptyData
+from .ordering import compare_kdes
 
 __all__ = ["KernelDensityEstimate", "fit", "hermite_he", "compare_kdes"]
-
-
-def hermite_he(u, k):
-    """Probabilists' Hermite polynomial He_k evaluated elementwise.
-
-    Uses the recurrence He_0 = 1, He_1 = u, He_k = u He_{k-1} - (k-1) He_{k-2}.
-    """
-    u = np.asarray(u, dtype=float)
-    prev = np.ones_like(u)
-    if k == 0:
-        return prev
-    cur = u.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, u * cur - (j - 1) * prev
-    return cur
 
 
 @dataclass(frozen=True)
@@ -41,6 +35,8 @@ class KernelDensityEstimate(LossDistribution):
 
     samples: tuple
     bandwidth: float
+
+    from_samples = True
 
     def __post_init__(self):
         samples = tuple(float(s) for s in self.samples)
@@ -93,12 +89,7 @@ class KernelDensityEstimate(LossDistribution):
         """Inverse survival function by bisection (monotone smooth CDF)."""
         lo = min(self.samples) - 40 * self.bandwidth
         hi = max(self.samples) + 40 * self.bandwidth
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.sf(mid) > q:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(lambda x: self.sf(x) > q, lo, hi, 200)
         return 0.5 * (lo + hi)
 
     def derivative(self, x, k):
@@ -156,27 +147,3 @@ def fit(samples):
         raise EmptyData("cannot fit a KDE to an empty sample list")
     return KernelDensityEstimate(samples, silverman_bandwidth(samples))
 
-
-def compare_kdes(k1, k2, multiplier=1.0, k_der=16):
-    """Preference between two KDEs following the effective-bound rule.
-
-    If the effective upper bounds differ, the estimate whose mass ends lower
-    is preferred outright.  Otherwise both are truncated at the common bound
-    and the derivative-lexicographic comparison decides.
-    """
-    from . import ordering  # deferred import; ordering dispatches on KDE type
-
-    e1 = k1.effective_upper_bound(multiplier)
-    e2 = k2.effective_upper_bound(multiplier)
-    scale = max(abs(e1), abs(e2), 1.0)
-    if abs(e1 - e2) > 1e-9 * scale:
-        relation = (
-            ordering.Relation.FIRST_STRICT if e1 < e2 else ordering.Relation.SECOND_STRICT
-        )
-        return ordering.PreferenceVerdict(relation, decided_by="EffectiveBound")
-    from .distributions import truncate
-
-    common = e1
-    return ordering.compare_smooth(
-        truncate(k1, 1.0, common), truncate(k2, 1.0, common), k_der=k_der
-    )

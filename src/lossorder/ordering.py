@@ -8,6 +8,12 @@ vectors, signed density derivatives at the right support endpoint, point
 mass rules, a truncation ladder for unbounded tails), all of which agree
 with the moment criterion where their domains overlap.
 
+The rules ask each representation for what they need through the methods of
+``LossDistribution`` (``log_moments``, ``derivative``, ``isf``, ``sf``) and
+its class flags (``has_density``, ``is_discrete``, ``from_samples``), and do
+not inspect its type to get them.  Only the point-mass, categorical and
+lattice rules, each of which exists for one representation, test for it.
+
 Every strict verdict comes with a tail threshold x0: the point above which
 the preferred option's survival function is dominated by the other's.
 """
@@ -16,31 +22,23 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from . import _quad  # looked up per call, so wrappers set on _quad see it
+from ._quad import bisect
 from .distributions import (
     CategoricalDistribution,
-    HistogramDistribution,
     LatticeDistribution,
-    LossDistribution,
-    ParametricDistribution,
-    PiecewisePolyDensity,
     PointMass,
-    TruncatedDistribution,
     descending_pmf,
-    norm_pdf,
     truncate,
 )
 from .errors import (
     AdmissibilityError,
-    LossOrderError,
+    DerivativeUnavailable,
     MeaninglessComparison,
     SupportMismatch,
     ThresholdNotFound,
     Undecided,
 )
-from .kde import KernelDensityEstimate, compare_kdes, hermite_he
 
 __all__ = [
     "Relation",
@@ -53,6 +51,7 @@ __all__ = [
     "compare_smooth",
     "compare_point_mass",
     "compare_extended",
+    "compare_kdes",
     "compare",
     "tail_threshold",
     "density_derivative",
@@ -152,23 +151,7 @@ class TailThreshold:
 
 def moment_sequence(d, k_max=DEFAULT_K_MAX):
     """Build the log-domain moment prefix of a distribution."""
-    ks = np.arange(1, k_max + 1)
-    return MomentSequence(tuple(_log_moments(d, ks)))
-
-
-def _log_moments(d, ks):
-    if isinstance(d, (CategoricalDistribution, HistogramDistribution)):
-        values, probs = descending_pmf(d)
-        mask = probs > 0
-        logs = np.log(probs[mask])
-        logv = np.log(values[mask])
-        return logsumexp(
-            logs[None, :] + np.asarray(ks)[:, None] * logv[None, :], axis=1
-        )
-    if isinstance(d, TruncatedDistribution) and d.window.lower > 0:
-        edges = np.linspace(d.window.lower, d.window.upper, 129)
-        return _quad.log_power_integral(d.logpdf, edges, ks)
-    return np.array([d.log_moment(int(k)) for k in ks])
+    return MomentSequence(tuple(d.log_moments(np.arange(1, k_max + 1))))
 
 
 def compare_moment_sequences(
@@ -255,25 +238,12 @@ def compare_point_mass(a, y):
     return PreferenceVerdict(Relation.SECOND_STRICT, decided_by="PointMassRule")
 
 
-class _DerivativeUnavailable(LossOrderError):
-    pass
-
-
 def density_derivative(d, x, k):
-    """k-th derivative of a density at x, via closed forms where available."""
+    """k-th derivative of a density at x: the density itself at k = 0, the
+    representation's closed form above (``DerivativeUnavailable`` if none)."""
     if k == 0:
         return float(d.pdf(x))
-    if isinstance(d, KernelDensityEstimate):
-        return d.derivative(x, k)
-    if isinstance(d, TruncatedDistribution):
-        return d.derivative(x, k)
-    if isinstance(d, PiecewisePolyDensity):
-        return d.derivative(x, k)
-    if isinstance(d, ParametricDistribution) and d.family == "gaussian":
-        u = (float(x) - d.a) / d.b
-        sign = -1.0 if k % 2 else 1.0
-        return float(sign * hermite_he(u, k) * norm_pdf(u) / d.b ** (k + 1))
-    raise _DerivativeUnavailable(f"no derivative rule for {type(d).__name__}")
+    return d.derivative(x, k)
 
 
 def compare_smooth(f, g, k_der=DEFAULT_K_DER, k_max=DEFAULT_K_MAX):
@@ -302,7 +272,7 @@ def compare_smooth(f, g, k_der=DEFAULT_K_DER, k_max=DEFAULT_K_MAX):
                 return PreferenceVerdict(
                     relation, decided_by="DerivativeLex", stabilization_index=k
                 )
-    except _DerivativeUnavailable:
+    except DerivativeUnavailable:
         pass
     return compare_moment_sequences(
         moment_sequence(f, k_max), moment_sequence(g, k_max)
@@ -310,24 +280,7 @@ def compare_smooth(f, g, k_der=DEFAULT_K_DER, k_max=DEFAULT_K_MAX):
 
 
 def _isf(d, q):
-    if hasattr(d, "isf"):
-        return float(d.isf(q))
-    if isinstance(d, LatticeDistribution):
-        return float(d.quantile(1.0 - q))
-    hi = d.support.upper
-    if np.isfinite(hi):
-        lo = d.support.lower
-    else:
-        lo, hi = 1.0, 2.0
-        while d.sf(hi) > q and hi < 1e12:
-            lo, hi = hi, hi * 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if d.sf(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(d.isf(q))
 
 
 def _ratio_criterion(f, g, x_top, x_start):
@@ -405,6 +358,22 @@ def compare_extended(f, g, levels=LADDER_LEVELS, k_max=DEFAULT_K_MAX):
     return PreferenceVerdict(strict.pop(), decided_by="TruncationLadder")
 
 
+def compare_kdes(k1, k2, multiplier=1.0, k_der=16):
+    """Preference between two KDEs following the effective-bound rule.
+
+    If the effective upper bounds differ, the estimate whose mass ends lower
+    is preferred outright.  Otherwise both are truncated at the common bound
+    and the derivative-lexicographic comparison decides.
+    """
+    e1 = k1.effective_upper_bound(multiplier)
+    e2 = k2.effective_upper_bound(multiplier)
+    scale = max(abs(e1), abs(e2), 1.0)
+    if abs(e1 - e2) > 1e-9 * scale:
+        relation = Relation.FIRST_STRICT if e1 < e2 else Relation.SECOND_STRICT
+        return PreferenceVerdict(relation, decided_by="EffectiveBound")
+    return compare_smooth(truncate(k1, 1.0, e1), truncate(k2, 1.0, e1), k_der=k_der)
+
+
 def _check_admissible(d):
     lo = d.support.lower
     if np.isfinite(lo) and lo < 1.0 - 1e-9:
@@ -437,7 +406,7 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
         )
     _check_admissible(d1)
     _check_admissible(d2)
-    if isinstance(d1, KernelDensityEstimate) and isinstance(d2, KernelDensityEstimate):
+    if d1.from_samples and d2.from_samples:
         return compare_kdes(d1, d2)
     u1, u2 = d1.support.upper, d2.support.upper
     if not (np.isfinite(u1) and np.isfinite(u2)):
@@ -529,15 +498,12 @@ def _continuous_threshold(pref, other, first, second, grid_size):
             raise ThresholdNotFound(
                 "survival dominance never holds up to the support maximum"
             )
-        a, b = xs[last], xs[last + 1]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            smp, smo = float(pref.sf(mid)), float(other.sf(mid))
-            if smo - smp < -max(1e-12, 1e-6 * max(smp, smo)):
-                a = mid
-            else:
-                b = mid
-        x0 = b
+
+        def violated(x):
+            smp, smo = float(pref.sf(x)), float(other.sf(x))
+            return smo - smp < -max(1e-12, 1e-6 * max(smp, smo))
+
+        x0 = bisect(violated, xs[last], xs[last + 1], 80)[1]
         start = last + 1
     points = np.concatenate([[x0], xs[start:]])
     s1 = np.asarray(first.sf(points), dtype=float)
@@ -562,9 +528,7 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         pref, other = d2, d1
     else:
         pref, other = d1, d2
-    if isinstance(d1, KernelDensityEstimate) and isinstance(
-        d2, KernelDensityEstimate
-    ):
+    if d1.from_samples and d2.from_samples:
         # normalise the loss scale so the pooled sample minimum sits at 1;
         # survival dominance is shift-equivariant, the threshold is reported
         # on the normalised scale
@@ -584,8 +548,8 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         other, CategoricalDistribution
     ):
         return _categorical_threshold(pref, other, d1, d2)
-    if pref.is_discrete and other.is_discrete and not (
-        isinstance(pref, LatticeDistribution) or isinstance(other, LatticeDistribution)
+    if pref.is_discrete and other.is_discrete and (
+        pref.support.is_compact and other.support.is_compact
     ):
         return _discrete_threshold(pref, other, d1, d2)
     return _continuous_threshold(pref, other, d1, d2, grid_size)

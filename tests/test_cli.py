@@ -120,6 +120,20 @@ class TestKde:
         report = json.loads(out)
         assert report["inputs"][0]["name"] == "scenario1"
 
+    def test_group_by_missing_column_exits_ten(self, capsys, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(_read("table1.csv"))
+        code, _, err = run(capsys, "kde", str(path), "--group-by", "nosuch")
+        assert code == 10
+        assert "missing column" in err
+
+    def test_group_by_accepts_upper_case_header(self, capsys, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(_read("table1.csv").replace("scenario,cvss", "Scenario,CVSS", 1))
+        code, out, _ = run(capsys, "kde", str(path), "--group-by", "Scenario")
+        assert code == 1  # scenario 2 preferred, as with the lower-case header
+        assert json.loads(out)["inputs"][0]["name"] == "scenario1"
+
     def test_too_few_points(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("x\n1\n2\n3\n")

@@ -23,7 +23,14 @@ from lossorder.errors import (
     MomentsUndefined,
     NoDensity,
 )
-from lossorder.ordering import Relation, compare, tail_threshold
+from lossorder.kde import fit
+from lossorder.ordering import (
+    Relation,
+    compare,
+    density_derivative,
+    moment_sequence,
+    tail_threshold,
+)
 
 
 class TestSupportInterval:
@@ -249,6 +256,17 @@ class TestFamilyFormulas:
                     assert np.ndim(got) == 0
                     np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("d", FAMILY_CASES, ids=repr)
+    def test_limits_at_plus_infinity(self, d):
+        # scipy.stats gives nan for the density here (its forms reach inf - inf)
+        assert d.pdf(np.inf) == 0.0
+        assert d.logpdf(np.inf) == -np.inf
+        assert d.cdf(np.inf) == 1.0
+        assert d.sf(np.inf) == 0.0
+        xs = np.array([d.isf(0.5), np.inf])
+        assert d.pdf(xs)[1] == 0.0 and d.pdf(xs)[0] > 0
+        assert d.logpdf(xs)[1] == -np.inf
+
 
 class TestTruncated:
     def test_renormalization(self):
@@ -335,3 +353,46 @@ def test_descending_pmf_orders_worst_first():
     values, probs = descending_pmf(h)
     assert values.tolist() == [3.0, 2.0, 1.0]
     assert probs.tolist() == pytest.approx([0.25, 0.5, 0.25])
+
+
+def _geometric_lattice():
+    return LatticeDistribution(lambda j: np.log(0.5) + (j - 1) * np.log(0.5), lower=1)
+
+
+REPRESENTATIONS = {
+    "piecewise": PiecewisePolyDensity([1.0, 3.0], [[-0.5, 0.5]]),
+    "truncated": truncate(Gaussian(10.0, 2.0), 1.0, 20.0),
+    "histogram": HistogramDistribution((1.0, 2.0, 5.0), (10, 30, 60)),
+    "categorical": CategoricalDistribution(("H", "M", "L"), (3.0, 2.0, 1.0), (0.5, 0.3, 0.2)),
+    "point_mass": PointMass(4.0),
+    "lattice": _geometric_lattice(),
+    "kde": fit(1.0 + np.random.default_rng(3).gamma(3.0, 2.0, 30)),
+    "gumbel": Gumbel(6.27294, 2.20532),
+    "gamma": Gamma(3.0, 2.0),
+    "weibull": Weibull(2.0, 5.0),
+    "gaussian": Gaussian(10.0, 2.0),
+}
+
+
+class TestRepresentationProtocol:
+    """What the ordering rules ask of every representation."""
+
+    @pytest.mark.parametrize("q", [1e-1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("name", REPRESENTATIONS)
+    def test_isf_brackets_the_survival_level(self, name, q):
+        d = REPRESENTATIONS[name]
+        x = float(d.isf(q))
+        delta = 1e-7 * max(1.0, abs(x))
+        assert d.sf(x + delta) <= q <= d.sf(x - delta)
+
+    @pytest.mark.parametrize("name", REPRESENTATIONS)
+    def test_moment_sequence_matches_log_moment(self, name):
+        d = REPRESENTATIONS[name]
+        want = [d.log_moment(k) for k in range(1, 9)]
+        np.testing.assert_allclose(moment_sequence(d, 8).log_moments, want, rtol=0, atol=1e-9)
+
+    def test_truncated_derivative_is_the_renormalised_base(self):
+        base = Gaussian(10.0, 2.0)
+        t = truncate(base, 1.0, 20.0)
+        for k in range(1, 7):
+            assert density_derivative(t, 20.0, k) == base.derivative(20.0, k) / t.renormalization
