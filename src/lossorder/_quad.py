@@ -1,4 +1,4 @@
-"""Log-domain quadrature helpers for moment computation.
+"""Log-domain quadrature for the moments without an exact form: Gumbel, truncations.
 
 Moments E[X^k] overflow ordinary floating point long before k reaches the
 prefix lengths used by the ordering engine, so every integral here is carried
@@ -62,7 +62,7 @@ def log_power_integral(logf, edges, ks):
         edges = refined
 
 
-def signed_log_moment(logf, lo, hi, k, n_panels=64):
+def signed_log_moment(logf, lo, hi, k):
     """log E[X^k] on a window that may dip below zero.
 
     The positive and negative parts are integrated separately in log-domain
@@ -73,11 +73,11 @@ def signed_log_moment(logf, lo, hi, k, n_panels=64):
     neg = -np.inf
     if hi > 0:
         a = max(lo, 1e-300)
-        edges = np.linspace(a, hi, n_panels + 1)
+        edges = np.linspace(a, hi, 65)
         pos = float(log_power_integral(logf, edges, [k])[0])
     if lo < 0:
         b = min(hi, -1e-300)
-        edges = np.linspace(-b, -lo, n_panels + 1)
+        edges = np.linspace(-b, -lo, 65)
         neg = float(log_power_integral(lambda t: logf(-t), edges, [k])[0])
     if neg == -np.inf:
         result = pos

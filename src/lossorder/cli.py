@@ -22,7 +22,7 @@ from .distributions import (
     PointMass,
     Weibull,
 )
-from .errors import LossOrderError
+from .errors import LossOrderError, ThresholdNotFound
 
 EXIT_ERROR = 10
 
@@ -138,8 +138,14 @@ def cmd_compare(args):
         ],
         "verdict": _verdict_doc(verdict),
     }
+    # a strict verdict without a certificate keeps its report, with x0 null
+    # and the reason beside it; the error is raised once the report is out
+    error = None
     if args.threshold and verdict.relation is not ordering.Relation.INCOMPARABLE:
-        report["x0"] = _threshold_doc(ordering.tail_threshold(d1, d2, verdict))
+        try:
+            report["x0"] = _threshold_doc(ordering.tail_threshold(d1, d2, verdict))
+        except ThresholdNotFound as exc:
+            report["x0"], report["x0_error"], error = None, str(exc), exc
     if args.moments:
         ks = list(range(1, args.moments + 1))
         report["moments"] = {
@@ -150,6 +156,8 @@ def cmd_compare(args):
     if args.plot_data:
         report["plot_data"] = _plot_data(d1, d2)
     print(json.dumps(report, indent=2))
+    if error is not None:
+        raise error
     return _EXIT_BY_RELATION[verdict.relation]
 
 
@@ -211,13 +219,19 @@ def cmd_kde(args):
         ],
         "verdict": _verdict_doc(verdict),
     }
+    error = None  # as in cmd_compare
     if args.threshold and verdict.relation is not ordering.Relation.INCOMPARABLE:
-        t = ordering.tail_threshold(k1, k2, verdict)
-        doc = _threshold_doc(t)
-        doc["grid"] = doc["grid"][:64]
-        doc["scale_shift"] = 1.0 - min(min(s1), min(s2))
-        report["x0"] = doc
+        try:
+            doc = _threshold_doc(ordering.tail_threshold(k1, k2, verdict))
+        except ThresholdNotFound as exc:
+            report["x0"], report["x0_error"], error = None, str(exc), exc
+        else:
+            doc["grid"] = doc["grid"][:64]
+            doc["scale_shift"] = 1.0 - min(min(s1), min(s2))
+            report["x0"] = doc
     print(json.dumps(report, indent=2))
+    if error is not None:
+        raise error
     return _EXIT_BY_RELATION[verdict.relation]
 
 

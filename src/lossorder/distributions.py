@@ -8,11 +8,10 @@ lattice distributions with unbounded support.  All objects are immutable.
 
 A representation subclasses ``LossDistribution`` and implements ``support``,
 ``pdf`` (raising ``NoDensity`` if it has none), ``cdf`` (``sf`` defaults to
-1 - cdf) and ``_log_moment(k)``, the log-domain moment log E[X^k].  Where it
-knows better than the generic forms, it overrides:
+1 - cdf) and the moments log E[X^k], as ``_log_moment(k)`` or as
+``log_moments(ks)`` for several orders at once (each defaults to the other).
+Where it knows better than the generic forms, it overrides:
 
-- ``log_moments(ks)``: the moments of several orders at once (default: one
-  ``log_moment`` per order);
 - ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
   k = 0, ``DerivativeUnavailable`` above);
 - ``isf(q)``: the inverse survival function (default: bisection on ``sf``).
@@ -22,7 +21,8 @@ Three class flags describe it to the comparison rules: ``has_density``,
 
 The Gumbel family follows the minimum-extreme-value parametrisation
 f(x|a,b) = (1/b) exp((x-a)/b - exp((x-a)/b)), i.e. scipy's ``gumbel_l``.
-Every family is evaluated from closed forms in ``scipy.special``.
+Every family is evaluated from closed forms in ``scipy.special``; the
+Gaussian is a one-component case of the kernel estimate's Gaussian mixture.
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,8 @@ class LossDistribution:
         return self._log_moment(int(k))
 
     def _log_moment(self, k):
-        raise NotImplementedError
+        """log E[X^k] for one checked order; override this or ``log_moments``."""
+        return float(self.log_moments([k])[0])
 
     def log_moments(self, ks):
         """log E[X^k] for each order in ``ks``, as an array."""
@@ -169,9 +170,6 @@ class _FinitePmf(LossDistribution):
         logs = np.log(probs[mask])
         logv = np.log(values[mask])
         return logsumexp(logs[None, :] + np.asarray(ks)[:, None] * logv[None, :], axis=1)
-
-    def _log_moment(self, k):
-        return float(self.log_moments([k])[0])
 
 
 @dataclass(frozen=True)
@@ -375,13 +373,38 @@ def hermite_he(u, k):
     return cur
 
 
+def gaussian_mixture_log_moments(centers, h, ks):
+    """Exact log E[X^k] of the equal-weight mixture of N(c, h^2) over centres c:
+    mean_i sum_{j even} C(k, j) c_i^(k-j) h^j (j-1)!!, summed with signs."""
+    c = np.asarray(centers, dtype=float)
+    out = []
+    for k in map(int, ks):
+        j = np.arange(0, k + 1, 2)
+        # log C(k, j) h^j (j-1)!!, where (j-1)!! = j! / (2^(j/2) (j/2)!)
+        logcoef = gammaln(k + 1) - gammaln(k - j + 1) - gammaln(j / 2 + 1) + j * np.log(h / np.sqrt(2))
+        p = (k - j)[:, None]
+        val, sign = logsumexp(logcoef[:, None] + xlogy(p, abs(c)), b=np.sign(c) ** p, return_sign=True)
+        if sign <= 0:
+            raise MomentsUndefined(f"moment of order {k} is not positive on this support")
+        out.append(val - np.log(len(c)))
+    return np.array(out)
+
+
+def gaussian_mixture_derivative(centers, h, x, k):
+    """k-th derivative at x of that mixture: the mean of (-1)^k He_k(u) phi(u)
+    / h^(k+1) over u = (x - c) / h."""
+    u = (float(x) - np.asarray(centers, dtype=float)) / h
+    sign = -1.0 if k % 2 else 1.0
+    return float(sign * (hermite_he(u, k) * norm_pdf(u)).sum() / (len(u) * h ** (k + 1)))
+
+
 class _Family(NamedTuple):
     """Closed forms of one parametric family in the standardised variable
     z = (x - loc) / scale (or the probability q), with shape ``c``.
 
     Shaped families take a = shape, loc = 0 and live on [0, inf); the others
     take a = loc and live on the real line.  ``log_moment(k, a, b)`` is the
-    closed-form log E[X^k], or None where the moments need quadrature.
+    exact log E[X^k], or None where the moments need quadrature.
     """
 
     shaped: bool
@@ -434,6 +457,7 @@ FAMILIES = {
         sf=lambda z, c: ndtr(-z),
         ppf=lambda q, c: ndtri(q),
         isf=lambda q, c: -ndtri(q),
+        log_moment=lambda k, a, b: gaussian_mixture_log_moments([a], b, [k])[0],
     ),
 }
 
@@ -520,12 +544,10 @@ class ParametricDistribution(LossDistribution):
         return self._quantile(self._forms.isf, q, np.inf, self.support.lower)
 
     def derivative(self, x, k):
-        """Closed form for the Gaussian: (-1)^k He_k(u) phi(u) / sigma^(k+1)."""
-        if k == 0 or self.family != "gaussian":
+        """Closed form for the Gaussian, a one-component mixture."""
+        if self.family != "gaussian":
             return super().derivative(x, k)
-        u = (float(x) - self.a) / self.b
-        sign = -1.0 if k % 2 else 1.0
-        return float(sign * hermite_he(u, k) * norm_pdf(u) / self.b ** (k + 1))
+        return gaussian_mixture_derivative([self.a], self.b, x, k)
 
     def _log_moment(self, k):
         if self._forms.log_moment is not None:

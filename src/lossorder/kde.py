@@ -2,11 +2,11 @@
 
 Bandwidths follow Silverman's rule-of-thumb (the ``nrd0`` default of common
 statistics packages): h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with quartiles
-computed by linear interpolation (type-7).  Derivatives of any order come in
-closed form through probabilists' Hermite polynomials, which is what makes
-the derivative-lexicographic comparison of two estimates practical.  That
-comparison, ``compare_kdes``, is a rule of ``ordering`` and is re-exported
-here.
+computed by linear interpolation (type-7).  The estimate is a Gaussian
+mixture: its moments are exact sums over the samples, linear in their number,
+and derivatives of any order come in closed form through probabilists'
+Hermite polynomials, which makes the derivative-lexicographic comparison of
+two estimates, ``compare_kdes`` (a rule of ``ordering``), practical.
 """
 
 from dataclasses import dataclass
@@ -15,11 +15,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from ._quad import bisect, expand_bound, signed_log_moment
+# not called here; perfbench/tracer.py counts expand_bound in this module
+from ._quad import bisect, expand_bound  # noqa: F401
 from .distributions import (
     _SQRT_2PI,
     LossDistribution,
     SupportInterval,
+    gaussian_mixture_derivative,
+    gaussian_mixture_log_moments,
     hermite_he,
     norm_pdf,
 )
@@ -94,12 +97,11 @@ class KernelDensityEstimate(LossDistribution):
 
     def derivative(self, x, k):
         """k-th derivative of the density at x, in closed form."""
-        if k == 0:
-            return float(self.pdf(x))
-        u = (float(x) - self._x) / self.bandwidth
-        terms = hermite_he(u, k) * norm_pdf(u)
-        sign = -1.0 if k % 2 else 1.0
-        return float(sign * terms.sum() / (self.n * self.bandwidth ** (k + 1)))
+        return gaussian_mixture_derivative(self._x, self.bandwidth, x, k)
+
+    def log_moments(self, ks):
+        """Exact log E[X^k] of the kernel mixture."""
+        return gaussian_mixture_log_moments(self._x, self.bandwidth, ks)
 
     def effective_upper_bound(self, multiplier=1.0):
         """Right-end proxy of the estimate: max sample plus one bandwidth."""
@@ -111,18 +113,6 @@ class KernelDensityEstimate(LossDistribution):
         return KernelDensityEstimate(
             tuple(s + offset for s in self.samples), self.bandwidth
         )
-
-    def _log_moment(self, k):
-        lo = min(self.samples) - 10 * self.bandwidth
-        hi = max(self.samples) + 10 * self.bandwidth
-
-        def logw(x):
-            return k * np.log(max(abs(x), 1e-300)) + float(self.logpdf(x))
-
-        hi = expand_bound(logw, hi, self.bandwidth, +1)
-        if lo < 0:
-            lo = expand_bound(logw, lo, self.bandwidth, -1)
-        return signed_log_moment(self.logpdf, lo, hi, k, n_panels=max(64, 2 * self.n))
 
 
 def silverman_bandwidth(samples):

@@ -387,11 +387,11 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     """Decide the preference between two loss distributions.
 
     Dispatches to the fastest applicable rule: point-mass rules, the
-    support-bound rule when compact upper bounds differ, lexicographic
-    comparison for categorical/histogram data, derivative-lexicographic
-    comparison for smooth densities on a common compact support, the
-    truncation ladder for unbounded tails, and the moment-sequence scan for
-    everything else.
+    support-bound rule when upper bounds differ (one of them may be
+    infinite), lexicographic comparison for categorical/histogram data,
+    derivative-lexicographic comparison for smooth densities on a common
+    compact support, the truncation ladder for two unbounded tails, and the
+    moment-sequence scan for everything else.
     """
     if isinstance(d1, PointMass) or isinstance(d2, PointMass):
         if isinstance(d1, PointMass):
@@ -409,13 +409,17 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     if d1.from_samples and d2.from_samples:
         return compare_kdes(d1, d2)
     u1, u2 = d1.support.upper, d2.support.upper
-    if not (np.isfinite(u1) and np.isfinite(u2)):
-        return compare_extended(d1, d2, k_max=k_max)
-    if abs(u1 - u2) > 1e-9 * max(1.0, abs(u1), abs(u2)):
-        # the wider support puts mass beyond the narrower one's maximum, so
-        # its moments ultimately grow faster
+    finite1, finite2 = np.isfinite(u1), np.isfinite(u2)
+    # finiteness is tested on its own: abs(inf - b) > 1e-9 * inf is False
+    if finite1 != finite2 or (
+        finite1 and abs(u1 - u2) > 1e-9 * max(1.0, abs(u1), abs(u2))
+    ):
+        # the wider (or unbounded) support puts mass beyond the narrower
+        # one's maximum, so its moments ultimately grow faster
         relation = Relation.FIRST_STRICT if u1 < u2 else Relation.SECOND_STRICT
         return PreferenceVerdict(relation, decided_by="SupportBound")
+    if not finite1:
+        return compare_extended(d1, d2, k_max=k_max)
     if d1.is_discrete and d2.is_discrete:
         return compare_categorical(d1, d2)
     if d1.has_density and d2.has_density:
@@ -538,7 +542,9 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         others = d2s if pref is d1 else d1s
         return _continuous_threshold(prefs, others, d1s, d2s, grid_size)
     if verdict.decided_by == "SupportBound":
-        hi = max(d1.support.upper, d2.support.upper)
+        hi = other.support.upper
+        if not np.isfinite(hi):
+            hi = max(pref.support.upper, _isf(other, 1e-9))
         xs = np.linspace(pref.support.upper, hi, 64)
         grid = tuple(
             (float(x), float(d1.sf(x)), float(d2.sf(x))) for x in xs

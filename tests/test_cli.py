@@ -8,6 +8,7 @@ import pytest
 
 import lossorder
 from lossorder import cli
+from lossorder.errors import ThresholdNotFound
 from lossorder.fixtures import _read
 
 
@@ -98,6 +99,15 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "gamma:2,1", "gamma:3,1")
         assert code == 10
 
+    def test_report_kept_when_certificate_fails(self, capsys, nile_csv):
+        code, out, err = run(capsys, "compare", nile_csv, "gaussian:900,150", "--threshold")
+        assert code == 10
+        report = json.loads(out)
+        assert report["verdict"]["relation"] == "SecondStrictlyPreferred"
+        assert report["x0"] is None
+        assert report["x0_error"] == "survival dominance never holds up to the support maximum"
+        assert "survival dominance never holds" in err
+
 
 class TestKde:
     def test_split_series(self, capsys, nile_csv):
@@ -111,6 +121,19 @@ class TestKde:
         assert abs(b1 - 1449.32) <= 0.5
         assert abs(b2 - 1215.28) <= 0.5
         assert 150 <= report["x0"]["x0"] <= 300
+
+    def test_report_kept_when_certificate_fails(self, capsys, nile_csv, monkeypatch):
+        def no_certificate(*args):
+            raise ThresholdNotFound("verification grid rejects the candidate threshold")
+
+        monkeypatch.setattr(cli.ordering, "tail_threshold", no_certificate)
+        code, out, err = run(capsys, "kde", nile_csv, "--split", "50", "--threshold")
+        assert code == 10
+        report = json.loads(out)
+        assert report["verdict"]["relation"] == "SecondStrictlyPreferred"
+        assert report["x0"] is None
+        assert report["x0_error"] == "verification grid rejects the candidate threshold"
+        assert "verification grid rejects" in err
 
     def test_group_by_ratings(self, capsys, tmp_path):
         path = tmp_path / "scores.csv"

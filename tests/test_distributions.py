@@ -367,6 +367,7 @@ REPRESENTATIONS = {
     "point_mass": PointMass(4.0),
     "lattice": _geometric_lattice(),
     "kde": fit(1.0 + np.random.default_rng(3).gamma(3.0, 2.0, 30)),
+    "kde_mixed_signs": fit([-3.0, -1.0, 0.0, 2.0, 5.0, 6.5]),
     "gumbel": Gumbel(6.27294, 2.20532),
     "gamma": Gamma(3.0, 2.0),
     "weibull": Weibull(2.0, 5.0),

@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from lossorder.errors import EmptyData
+from lossorder.distributions import Gaussian
+from lossorder.errors import EmptyData, MomentsUndefined
 from lossorder.kde import (
     KernelDensityEstimate,
     compare_kdes,
@@ -152,3 +157,52 @@ class TestCompare:
 def test_fit_empty_rejected():
     with pytest.raises(EmptyData):
         fit([])
+
+
+def _exact_mixture_moment(centers, h, k):
+    """E[X^k] of the equal-weight mixture of N(c, h^2), in exact rationals:
+    (1/n) sum_i sum_{j even} C(k, j) c_i^(k-j) h^j (j-1)!!."""
+    total = Fraction(0)
+    for c in map(Fraction, centers):
+        for j in range(0, k + 1, 2):
+            double_factorial = math.prod(range(j - 1, 0, -2))
+            total += math.comb(k, j) * c ** (k - j) * Fraction(h) ** j * double_factorial
+    return total / len(centers)
+
+
+# (centres, h): Gaussians are one-centre mixtures
+MIXTURES = {
+    "gaussian(10, 2)": ((10.0,), 2.0),
+    "gaussian(-5, 2)": ((-5.0,), 2.0),
+    "gaussian(0, 1)": ((0.0,), 1.0),
+    "gaussian(900, 150)": ((900.0,), 150.0),
+    "kde mixed signs": ((-3.0, -1.0, 0.0, 2.0, 5.0), 0.7),
+    "kde negative": ((-4.0, -2.5, -1.0), 0.9),
+    "kde with zero": ((0.0, 0.0, 1.5, 3.25), 0.4),
+    "kde seeded": (tuple(1.0 + np.random.default_rng(1).gamma(3.0, 2.0, 25)), 1.3),
+}
+
+
+@pytest.mark.parametrize("name", MIXTURES)
+def test_mixture_moments_match_exact_rationals(name):
+    centers, h = MIXTURES[name]
+    d = Gaussian(centers[0], h) if len(centers) == 1 else KernelDensityEstimate(centers, h)
+    for k in range(1, 21):
+        exact = _exact_mixture_moment(centers, h, k)
+        if exact <= 0:
+            with pytest.raises(MomentsUndefined):
+                d.log_moment(k)
+            continue
+        want = math.log(exact.numerator) - math.log(exact.denominator)
+        assert abs(d.log_moment(k) - want) <= 1e-12, k
+
+
+def test_moments_memory_is_linear_in_samples():
+    samples = 1.0 + np.random.default_rng(4).gamma(3.0, 2.0, 400)
+    tracemalloc.start()
+    try:
+        fit(samples).log_moments(range(1, 65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

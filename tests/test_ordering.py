@@ -5,6 +5,7 @@ from lossorder import fixtures
 from lossorder.distributions import (
     CategoricalDistribution,
     Gamma,
+    Gaussian,
     Gumbel,
     HistogramDistribution,
     PiecewisePolyDensity,
@@ -249,3 +250,48 @@ def test_verdict_flip_is_involutive():
     assert v.flipped().flipped() == v
     assert v.preferred_index == 0
     assert v.flipped().preferred_index == 1
+
+
+def _uniform_1_20():
+    return PiecewisePolyDensity.uniform(1.0, 20.0)
+
+
+def _table2_config1():
+    return fixtures.load_outbreak_histograms()["config1"]
+
+
+def _small_histogram():
+    return HistogramDistribution((1.0, 2.0, 5.0), (10, 30, 60))
+
+
+def _geometric_lattice():
+    return fixtures.poisson_like_pair()[0]
+
+
+# name -> (compact, unbounded, common_scale): an option with a finite upper
+# bound b beats one whose support is unbounded above, whose moments outgrow b^k
+COMPACT_VS_UNBOUNDED = {
+    "uniform-gaussian": (_uniform_1_20, lambda: Gaussian(10.0, 2.0), False),
+    "uniform-gumbel": (_uniform_1_20, lambda: Gumbel(6.27294, 2.20532), False),
+    "uniform-weibull": (_uniform_1_20, lambda: Weibull(2.0, 5.0), False),
+    "uniform-gamma": (_uniform_1_20, lambda: Gamma(3.0, 2.0), False),
+    "histogram-gamma": (_table2_config1, lambda: Gamma(3.0, 2.0), True),
+    "histogram-lattice": (_small_histogram, _geometric_lattice, False),
+}
+
+
+@pytest.mark.parametrize("compact_first", [True, False], ids=["compact-first", "compact-second"])
+@pytest.mark.parametrize("name", COMPACT_VS_UNBOUNDED)
+def test_compact_support_beats_unbounded(name, compact_first):
+    make_compact, make_unbounded, common_scale = COMPACT_VS_UNBOUNDED[name]
+    compact, unbounded = make_compact(), make_unbounded()
+    d1, d2 = (compact, unbounded) if compact_first else (unbounded, compact)
+    v = compare(d1, d2, common_scale=common_scale)
+    assert v.decided_by == "SupportBound"
+    assert v.relation is (Relation.FIRST_STRICT if compact_first else Relation.SECOND_STRICT)
+    t = tail_threshold(d1, d2, v)
+    assert t.x0 == compact.support.upper
+    assert all(np.isfinite(x) for x, _, _ in t.grid)
+    for _, s1, s2 in t.grid:
+        s_compact, s_unbounded = (s1, s2) if compact_first else (s2, s1)
+        assert s_compact <= s_unbounded + 1e-12

@@ -1,3 +1,5 @@
+from collections import Counter, deque
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,59 @@ def test_histograms_feed_the_ordering():
     hi = simulate_outbreaks(OutbreakConfig(g, 0.15, n_runs=1000, seed=9))
     v = compare(lo.to_distribution(), hi.to_distribution())
     assert v.relation is Relation.FIRST_STRICT
+
+
+def _bfs_histogram(config):
+    """Reference simulator: replays the documented per-run streams (edge
+    coin-flips, then the start node, from default_rng([seed, run])) and
+    measures each outbreak by breadth-first search."""
+    graph = config.graph
+    sizes = Counter()
+    for run in range(config.n_runs):
+        rng = np.random.default_rng([config.seed, run])
+        kept = rng.random(len(graph.edges)) < config.transmission
+        if config.initial_node is None:
+            start = int(rng.integers(graph.n_nodes))
+        else:
+            start = config.initial_node
+        neighbours = {i: [] for i in range(graph.n_nodes)}
+        for (u, v), k in zip(graph.edges, kept):
+            if k:
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+        seen, queue = {start}, deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        sizes[len(seen)] += 1
+    keys = tuple(sorted(sizes))
+    return keys, tuple(sizes[s] for s in keys)
+
+
+BFS_CASES = {
+    "complete:20 p=0.1": OutbreakConfig(Graph.complete(20), 0.1, n_runs=300, seed=7),
+    "complete:20 p=0.3": OutbreakConfig(Graph.complete(20), 0.3, n_runs=300, seed=8),
+    "erdos_renyi": OutbreakConfig(Graph.erdos_renyi(60, 0.08, seed=3), 0.4, n_runs=300, seed=2),
+    "disconnected edge list": OutbreakConfig(
+        Graph.from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (7, 8)]),
+        0.7,
+        n_runs=300,
+        seed=5,
+    ),
+    "fixed initial node": OutbreakConfig(
+        Graph.complete(20), 0.12, initial_node=13, n_runs=300, seed=4
+    ),
+    "p=0": OutbreakConfig(Graph.erdos_renyi(30, 0.2, seed=1), 0.0, n_runs=50, seed=6),
+    "p=1": OutbreakConfig(
+        Graph.from_edge_list([(0, 1), (2, 3), (3, 4), (6, 7)]), 1.0, n_runs=50, seed=6
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BFS_CASES)
+def test_matches_breadth_first_reference(name):
+    config = BFS_CASES[name]
+    h = simulate_outbreaks(config)
+    assert (h.sizes, h.counts) == _bfs_histogram(config)
