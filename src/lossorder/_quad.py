@@ -118,11 +118,18 @@ def expand_bound(logweight, start, step, direction):
 
 def bisect(pred, lo, hi, steps):
     """Halve [lo, hi] ``steps`` times, keeping ``pred`` true at lo and false
-    at hi; returns the final (lo, hi)."""
+    at hi; returns the final (lo, hi).
+
+    Once the midpoint equals an end, the interval cannot shrink further and
+    every later step would repeat this one, so the loop stops there.
+    """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        collapsed = mid == lo or mid == hi
         if pred(mid):
             lo = mid
         else:
             hi = mid
+        if collapsed:
+            break
     return lo, hi

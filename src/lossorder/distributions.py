@@ -317,11 +317,20 @@ class PiecewisePolyDensity(LossDistribution):
         idx = np.searchsorted(self._breaks, x, side="right") - 1
         return np.clip(idx, 0, len(self._polys) - 1)
 
+    def _by_segment(self, flat, segment_fn):
+        """``segment_fn(i, v)`` on the points ``v`` of ``flat`` that fall in
+        segment i, for every segment at once."""
+        idx = self._segment_index(flat)
+        out = np.empty(flat.shape)
+        for i in np.unique(idx):
+            mask = idx == i
+            out[mask] = segment_fn(i, flat[mask])
+        return out
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x)
-        idx = self._segment_index(flat)
-        out = np.array([self._polys[i](v) for i, v in zip(idx, flat)])
+        out = self._by_segment(flat, lambda i, v: self._polys[i](v))
         inside = (flat >= self._breaks[0]) & (flat <= self._breaks[-1])
         out = np.where(inside, np.maximum(out, 0.0), 0.0)
         return out.reshape(x.shape)[()]
@@ -329,11 +338,11 @@ class PiecewisePolyDensity(LossDistribution):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.clip(np.atleast_1d(x), self._breaks[0], self._breaks[-1])
-        idx = self._segment_index(flat)
-        out = np.array([
-            self._cum[i] + self._antiderivs[i](v) - self._antiderivs[i](self._breaks[i])
-            for i, v in zip(idx, flat)
-        ])
+        out = self._by_segment(
+            flat,
+            lambda i, v: self._cum[i] + self._antiderivs[i](v)
+            - self._antiderivs[i](self._breaks[i]),
+        )
         return np.clip(out, 0.0, 1.0).reshape(x.shape)[()]
 
     def derivative(self, x, k):

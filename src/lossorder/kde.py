@@ -6,7 +6,9 @@ computed by linear interpolation (type-7).  The estimate is a Gaussian
 mixture: its moments are exact sums over the samples, linear in their number,
 and derivatives of any order come in closed form through probabilists'
 Hermite polynomials, which makes the derivative-lexicographic comparison of
-two estimates, ``compare_kdes`` (a rule of ``ordering``), practical.
+two estimates, ``compare_kdes`` (a rule of ``ordering``), practical.  Density
+and survival evaluation sums the kernels over fixed-size blocks of points, so
+its memory is linear in the sample count whatever the number of points.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,9 @@ from .errors import EmptyData
 from .ordering import compare_kdes
 
 __all__ = ["KernelDensityEstimate", "fit", "hermite_he", "compare_kdes"]
+
+#: kernel terms held at once by density and survival evaluation
+_BLOCK_TERMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -61,32 +66,35 @@ class KernelDensityEstimate(LossDistribution):
     def support(self):
         return SupportInterval(-np.inf, np.inf)
 
-    def _u(self, x):
+    def _rows(self, x, reduce):
+        """``reduce`` applied to the standardised kernel arguments of each x.
+
+        Rows are taken in blocks of about ``_BLOCK_TERMS`` kernel terms, so
+        memory stays linear in the sample count whatever the length of x;
+        each row is reduced on its own, so the blocking leaves values as they
+        would be from one matrix.
+        """
         x = np.asarray(x, dtype=float)
-        return (np.atleast_1d(x)[:, None] - self._x[None, :]) / self.bandwidth
+        flat = np.atleast_1d(x).ravel()
+        out = np.empty(flat.shape)
+        step = max(1, _BLOCK_TERMS // self.n)
+        for i in range(0, len(flat), step):
+            u = (flat[i : i + step, None] - self._x[None, :]) / self.bandwidth
+            out[i : i + step] = reduce(u)
+        return out.reshape(x.shape)[()]
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = norm_pdf(self._u(x)).mean(axis=1) / self.bandwidth
-        return out.reshape(x.shape)[()]
+        return self._rows(x, lambda u: norm_pdf(u).mean(axis=1) / self.bandwidth)
 
     def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = self._u(x)
-        out = logsumexp(-0.5 * u * u, axis=1) - np.log(
-            self.n * self.bandwidth * _SQRT_2PI
-        )
-        return out.reshape(x.shape)[()]
+        log_norm = np.log(self.n * self.bandwidth * _SQRT_2PI)
+        return self._rows(x, lambda u: logsumexp(-0.5 * u * u, axis=1) - log_norm)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = ndtr(self._u(x)).mean(axis=1)
-        return out.reshape(x.shape)[()]
+        return self._rows(x, lambda u: ndtr(u).mean(axis=1))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = ndtr(-self._u(x)).mean(axis=1)
-        return out.reshape(x.shape)[()]
+        return self._rows(x, lambda u: ndtr(-u).mean(axis=1))
 
     def isf(self, q):
         """Inverse survival function by bisection (monotone smooth CDF)."""

@@ -509,11 +509,12 @@ def _continuous_threshold(pref, other, first, second, grid_size):
 
         x0 = bisect(violated, xs[last], xs[last + 1], 80)[1]
         start = last + 1
+    # certificate rows reuse the search pass: only x0 is a new point
     points = np.concatenate([[x0], xs[start:]])
-    s1 = np.asarray(first.sf(points), dtype=float)
-    s2 = np.asarray(second.sf(points), dtype=float)
-    sp = s1 if pref is first else s2
-    so = s2 if pref is first else s1
+    sp = np.concatenate([np.asarray(pref.sf(points[:1]), dtype=float), sp[start:]])
+    so = np.concatenate([np.asarray(other.sf(points[:1]), dtype=float), so[start:]])
+    s1 = sp if pref is first else so
+    s2 = so if pref is first else sp
     if np.any(sp - so > np.maximum(1e-12, 1e-6 * np.maximum(sp, so))):
         raise ThresholdNotFound("verification grid rejects the candidate threshold")
     grid = tuple(zip(points.tolist(), s1.tolist(), s2.tolist()))
@@ -545,7 +546,8 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         hi = other.support.upper
         if not np.isfinite(hi):
             hi = max(pref.support.upper, _isf(other, 1e-9))
-        xs = np.linspace(pref.support.upper, hi, 64)
+        # a bound at or beyond the other's isf(1e-9) leaves one distinct row
+        xs = np.unique(np.linspace(pref.support.upper, hi, 64))
         grid = tuple(
             (float(x), float(d1.sf(x)), float(d2.sf(x))) for x in xs
         )

@@ -142,6 +142,41 @@ class TestPiecewisePoly:
         with pytest.raises(ValueError):
             PiecewisePolyDensity([0.0, 1.0], [[-1.0, 2.0]])  # negative near 0
 
+    def test_vectorised_equals_per_point(self):
+        # a(x-1), a, a(5-x)^2 on [1, 2], [2, 4], [4, 5]; mass a * 17/6
+        a = 6.0 / 17.0
+        breaks = [1.0, 2.0, 4.0, 5.0]
+        coefs = [[-a, a], [a], [25.0 * a, -10.0 * a, a]]
+        d = PiecewisePolyDensity(breaks, coefs)
+        polys = [np.polynomial.Polynomial(c) for c in coefs]
+        antis = [p.integ() for p in polys]
+        cum = np.concatenate([[0.0], np.cumsum(
+            [ad(hi) - ad(lo) for ad, lo, hi in zip(antis, breaks[:-1], breaks[1:])]
+        )])
+
+        def seg(v):
+            return min(max(int(np.searchsorted(breaks, v, side="right")) - 1, 0), 2)
+
+        def pdf(v):
+            val = polys[seg(v)](v)
+            return max(val, 0.0) if breaks[0] <= v <= breaks[-1] else 0.0
+
+        def cdf(v):
+            v = min(max(v, breaks[0]), breaks[-1])
+            i = seg(v)
+            return min(max(cum[i] + antis[i](v) - antis[i](breaks[i]), 0.0), 1.0)
+
+        xs = np.concatenate([
+            breaks, [0.0, 0.5, 5.5, 9.0, -np.inf, np.inf],
+            np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+            np.random.default_rng(3).uniform(0.0, 6.0, 500),
+        ])
+        with np.errstate(invalid="ignore"):  # polyval takes inf * 0 at +-inf
+            assert np.array_equal(d.pdf(xs), [pdf(v) for v in xs])
+            assert np.array_equal(d.cdf(xs), [cdf(v) for v in xs])
+        assert d.pdf(3.0) == pdf(3.0) and np.ndim(d.pdf(3.0)) == 0
+        assert d.cdf(np.array([])).shape == (0,)
+
 
 class TestParametric:
     def test_gamma_moment_closed_form_vs_quadrature(self):

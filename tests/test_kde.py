@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp, ndtr
 
-from lossorder.distributions import Gaussian
+from lossorder import kde
+from lossorder.distributions import _SQRT_2PI, Gaussian, norm_pdf
 from lossorder.errors import EmptyData, MomentsUndefined
 from lossorder.kde import (
     KernelDensityEstimate,
@@ -15,7 +17,7 @@ from lossorder.kde import (
     hermite_he,
     silverman_bandwidth,
 )
-from lossorder.ordering import Relation
+from lossorder.ordering import Relation, compare, tail_threshold
 
 
 class TestHermite:
@@ -206,3 +208,60 @@ def test_moments_memory_is_linear_in_samples():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _one_matrix(k, x):
+    """The four kernel sums from one (len(x) x n) matrix, unblocked."""
+    u = (x[:, None] - np.asarray(k.samples)[None, :]) / k.bandwidth
+    return {
+        "pdf": norm_pdf(u).mean(axis=1) / k.bandwidth,
+        "logpdf": logsumexp(-0.5 * u * u, axis=1)
+        - np.log(k.n * k.bandwidth * _SQRT_2PI),
+        "cdf": ndtr(u).mean(axis=1),
+        "sf": ndtr(-u).mean(axis=1),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 2000])
+def test_blocked_kernel_sums_equal_one_matrix(n):
+    rng = np.random.default_rng(n)
+    k = fit(1.0 + rng.gamma(3.0, 2.0, n))
+    rows = kde._BLOCK_TERMS // n
+    for length in (1, rows - 1, rows, rows + 1, 4097):
+        if length < 1:
+            continue
+        x = np.linspace(-5.0, 40.0, length)
+        want = _one_matrix(k, x)
+        for name, ref in want.items():
+            got = getattr(k, name)(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, ref), (n, length, name)
+    scalar = k.sf(3.0)
+    assert np.ndim(scalar) == 0
+    assert scalar == _one_matrix(k, np.array([3.0]))["sf"][0]
+
+
+def _traced(fn):
+    """fn()'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tail_threshold_memory_is_linear_in_samples():
+    rng = np.random.default_rng(5)
+    k1 = fit(1.0 + rng.gamma(3.0, 2.0, 5000))
+    k2 = fit(1.0 + 4.0 * rng.weibull(2.0, 5000))
+    v = compare(k1, k2)
+    _, peak = _traced(lambda: tail_threshold(k1, k2, v))
+    assert peak < 16 * 2**20
+
+
+def test_ladder_on_kde_memory_is_linear_in_samples():
+    # heavier-than-Gaussian samples: the truncation ladder integrates logpdf
+    k = fit(1.0 + np.random.default_rng(5).gamma(3.0, 2.0, 1000))
+    v, peak = _traced(lambda: compare(k, Gaussian(10.0, 2.0)))
+    assert v.decided_by == "TruncationLadder"
+    assert peak < 32 * 2**20

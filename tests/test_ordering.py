@@ -19,6 +19,7 @@ from lossorder.errors import (
     ThresholdNotFound,
     Undecided,
 )
+from lossorder.kde import fit
 from lossorder.ordering import (
     MomentSequence,
     Relation,
@@ -225,6 +226,42 @@ class TestTailThreshold:
         v = compare(even, odd)
         with pytest.raises(ValueError):
             tail_threshold(even, odd, v)
+
+    @pytest.mark.parametrize(
+        "gumbel, rows",
+        [((6.27294, 2.20532), 1), ((6.19073, 2.06288), 1), ((31.0063, 1.74346), 64)],
+    )
+    def test_support_bound_grid_has_distinct_rows(self, gumbel, rows):
+        u = PiecewisePolyDensity.uniform(1.0, 20.0)
+        g = Gumbel(*gumbel)
+        for d1, d2 in ((u, g), (g, u)):
+            t = tail_threshold(d1, d2, compare(d1, d2))
+            xs = [x for x, _, _ in t.grid]
+            assert t.x0 == 20.0 and xs[0] == 20.0
+            assert len(xs) == rows and np.all(np.diff(xs) > 0)
+            assert t.grid == tuple((x, float(d1.sf(x)), float(d2.sf(x))) for x in xs)
+
+    @pytest.mark.parametrize(
+        "d1, d2",
+        [
+            (Gumbel(6.27294, 2.20532), Gumbel(6.19073, 2.06288)),
+            (Gamma(260.345, 0.0373929), Weibull(20.0, 10.0)),
+            (
+                fit(1.0 + np.random.default_rng(9).gamma(3.0, 2.0, 300)),
+                fit(1.0 + 4.0 * np.random.default_rng(10).weibull(2.0, 300)),
+            ),
+        ],
+    )
+    def test_continuous_certificate_rows_are_survival_values(self, d1, d2):
+        # the rows come from the x0 search; they must equal sf at their points
+        t = tail_threshold(d1, d2, compare(d1, d2))
+        xs = np.array([x for x, _, _ in t.grid])
+        if d1.from_samples:
+            shift = 1.0 - min(min(d1.samples), min(d2.samples))
+            d1, d2 = d1.shifted(shift), d2.shifted(shift)
+        assert xs[0] == t.x0 and len(xs) > 2
+        assert np.array_equal([s for _, s, _ in t.grid], d1.sf(xs))
+        assert np.array_equal([s for _, _, s in t.grid], d2.sf(xs))
 
     def test_wrong_direction_verdict_raises(self):
         # a verdict pointing the wrong way leaves violations up to the top
