@@ -20,6 +20,7 @@ from .distributions import (
     PiecewisePolyDensity,
     PointMass,
     SupportInterval,
+    TailKey,
     TruncatedDistribution,
     Weibull,
     truncate,
@@ -62,6 +63,7 @@ __all__ = [
     "Relation",
     "ScaleSpec",
     "SupportInterval",
+    "TailKey",
     "TailThreshold",
     "TruncatedDistribution",
     "Weibull",

@@ -14,7 +14,11 @@ Where it knows better than the generic forms, it overrides:
 
 - ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
   k = 0, ``DerivativeUnavailable`` above);
-- ``isf(q)``: the inverse survival function (default: bisection on ``sf``).
+- ``isf(q)``: the inverse survival function (default: bisection on ``sf``);
+- ``logsf(x)``: log Pr(X > x) (default: the log of ``sf``, which underflows
+  where the tail is far out);
+- ``tail_key()``: the leading terms of -log sf(x) as x -> inf, a
+  ``TailKey`` (default: None, no closed form).
 
 Three class flags describe it to the comparison rules: ``has_density``,
 ``is_discrete`` and ``from_samples`` (a kernel estimate over raw samples).
@@ -38,6 +42,7 @@ from scipy.special import (
     gammaincinv,
     gammaln,
     log1p,
+    log_ndtr,
     logsumexp,
     ndtr,
     ndtri,
@@ -55,6 +60,7 @@ from .errors import (
 
 __all__ = [
     "SupportInterval",
+    "TailKey",
     "LossDistribution",
     "CategoricalDistribution",
     "HistogramDistribution",
@@ -92,6 +98,34 @@ class SupportInterval:
         )
 
 
+#: the default ``isf`` searches no further out than this
+ISF_CAP = 1e12
+
+
+class TailKey(NamedTuple):
+    """Leading terms of -log sf(x) as x -> inf:
+
+        exp(log_coef + rate x) + coef x^power + x_coef x + log_x log x + const
+
+    Keys compare lexicographically as tuples, and the larger key is the
+    lighter tail: its survival function is eventually the smaller one.  The
+    leading power term sits in ``power``/``coef`` (power 1 for an
+    exponential tail), so ``x_coef`` holds only a lower-order linear term.
+    """
+
+    rate: float = 0.0
+    log_coef: float = -np.inf
+    power: float = 0.0
+    coef: float = 0.0
+    x_coef: float = 0.0
+    log_x: float = 0.0
+    const: float = 0.0
+
+    def plus(self, const):
+        """The key of the survival function times exp(-const)."""
+        return self._replace(const=self.const + float(const))
+
+
 def _check_order(k):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
@@ -125,6 +159,15 @@ class LossDistribution:
         """Survival function Pr(X > x)."""
         return 1.0 - self.cdf(x)
 
+    def logsf(self, x):
+        """log Pr(X > x)."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.sf(x))
+
+    def tail_key(self):
+        """Leading terms of -log sf(x) as x -> inf, or None if unknown."""
+        return None
+
     def log_moment(self, k):
         """log E[X^k] for integer k >= 1."""
         _check_order(k)
@@ -146,11 +189,11 @@ class LossDistribution:
 
     def isf(self, q):
         """Inverse survival function, by bisection on ``sf`` over the support
-        (from [1, 2], doubled up to 1e12, when the support is unbounded)."""
+        (from [1, 2], doubled up to ``ISF_CAP``, when the support is unbounded)."""
         lo, hi = self.support.lower, self.support.upper
         if not np.isfinite(hi):
             lo, hi = 1.0, 2.0
-            while self.sf(hi) > q and hi < 1e12:
+            while self.sf(hi) > q and hi < ISF_CAP:
                 lo, hi = hi, hi * 2
         lo, hi = bisect(lambda x: self.sf(x) > q, lo, hi, 200)
         return 0.5 * (lo + hi)
@@ -330,9 +373,12 @@ class PiecewisePolyDensity(LossDistribution):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x)
-        out = self._by_segment(flat, lambda i, v: self._polys[i](v))
         inside = (flat >= self._breaks[0]) & (flat <= self._breaks[-1])
-        out = np.where(inside, np.maximum(out, 0.0), 0.0)
+        out = np.zeros(flat.shape)
+        # the polynomials see only the support: at +-inf they give inf * 0
+        out[inside] = np.maximum(
+            self._by_segment(flat[inside], lambda i, v: self._polys[i](v)), 0.0
+        )
         return out.reshape(x.shape)[()]
 
     def cdf(self, x):
@@ -365,6 +411,60 @@ _LOG_SQRT_2PI = np.log(_SQRT_2PI)
 def norm_pdf(z):
     """Standard normal density exp(-z^2/2) / sqrt(2 pi)."""
     return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
+def gaussian_tail_key(mu, sigma):
+    """Tail key of N(mu, sigma^2): -log sf(x) = z^2/2 + log z + log sqrt(2 pi)
+    + o(1) at z = (x - mu) / sigma."""
+    return TailKey(
+        power=2.0,
+        coef=0.5 / sigma**2,
+        x_coef=-mu / sigma**2,
+        log_x=1.0,
+        const=0.5 * (mu / sigma) ** 2 - np.log(sigma) + _LOG_SQRT_2PI,
+    )
+
+
+#: below this, ``gammaincc`` gives way to its continued fraction
+_GAMMAINCC_FLOOR = 1e-280
+_CF_STEPS = 1000
+_CF_TINY = 1e-300
+_CF_EPS = np.finfo(float).eps
+
+
+def _log_gammaincc(a, z):
+    """log Q(a, z) of the regularised upper incomplete gamma function.
+
+    ``gammaincc`` underflows near z ~ 700; below ``_GAMMAINCC_FLOOR`` the
+    continued fraction Q = z^a e^-z / Gamma(a) / (z + 1 - a - 1 (1 - a) /
+    (z + 3 - a - 2 (2 - a) / ...)) takes over, by Lentz's method on all
+    points at once, with the prefactor in log-domain.
+    """
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
+    q = gammaincc(a, z)
+    with np.errstate(divide="ignore"):
+        out = np.log(q)
+    deep = (q < _GAMMAINCC_FLOOR) & np.isfinite(z)
+    if deep.any():
+        a, z = a[deep], z[deep]
+        b = z + 1.0 - a
+        c = np.full(z.shape, 1.0 / _CF_TINY)
+        d = 1.0 / b
+        frac = d
+        for i in range(1, _CF_STEPS):
+            an = -i * (i - a)
+            b = b + 2.0
+            d = an * d + b
+            d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
+            c = b + an / c
+            c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
+            d = 1.0 / d
+            step = d * c
+            frac = frac * step
+            if np.all(np.abs(step - 1.0) <= _CF_EPS):
+                break
+        out[deep] = xlogy(a, z) - z - gammaln(a) + np.log(frac)
+    return out
 
 
 def hermite_he(u, k):
@@ -412,8 +512,9 @@ class _Family(NamedTuple):
     z = (x - loc) / scale (or the probability q), with shape ``c``.
 
     Shaped families take a = shape, loc = 0 and live on [0, inf); the others
-    take a = loc and live on the real line.  ``log_moment(k, a, b)`` is the
-    exact log E[X^k], or None where the moments need quadrature.
+    take a = loc and live on the real line.  ``tail_key(a, b)`` is the
+    ``TailKey`` of -log sf, and ``log_moment(k, a, b)`` the exact log E[X^k],
+    or None where the moments need quadrature.
     """
 
     shaped: bool
@@ -421,8 +522,10 @@ class _Family(NamedTuple):
     pdf: Callable
     cdf: Callable
     sf: Callable
+    logsf: Callable
     ppf: Callable
     isf: Callable
+    tail_key: Callable
     log_moment: Callable | None = None
 
 
@@ -435,8 +538,10 @@ FAMILIES = {
         pdf=lambda z, c: np.exp(z - np.exp(z)),
         cdf=lambda z, c: -expm1(-np.exp(z)),
         sf=lambda z, c: np.exp(-np.exp(z)),
+        logsf=lambda z, c: -np.exp(z),
         ppf=lambda q, c: np.log(-log1p(-q)),
         isf=lambda q, c: np.log(-np.log(q)),
+        tail_key=lambda a, b: TailKey(rate=1.0 / b, log_coef=-a / b),
     ),
     "gamma": _Family(
         shaped=True,
@@ -444,8 +549,13 @@ FAMILIES = {
         pdf=lambda z, c: np.exp(xlogy(c - 1.0, z) - z - gammaln(c)),
         cdf=lambda z, c: gammainc(c, z),
         sf=lambda z, c: gammaincc(c, z),
+        logsf=lambda z, c: _log_gammaincc(c, z),
         ppf=lambda q, c: gammaincinv(c, q),
         isf=lambda q, c: gammainccinv(c, q),
+        # z - (a - 1) log z + log Gamma(a) + o(1)
+        tail_key=lambda a, b: TailKey(
+            power=1.0, coef=1.0 / b, log_x=1.0 - a, const=(a - 1.0) * np.log(b) + gammaln(a)
+        ),
         log_moment=lambda k, a, b: k * np.log(b) + gammaln(a + k) - gammaln(a),
     ),
     "weibull": _Family(
@@ -454,8 +564,10 @@ FAMILIES = {
         pdf=lambda z, c: c * np.power(z, c - 1) * np.exp(-np.power(z, c)),
         cdf=lambda z, c: -expm1(-np.power(z, c)),
         sf=lambda z, c: np.exp(-np.power(z, c)),
+        logsf=lambda z, c: -np.power(z, c),
         ppf=lambda q, c: np.power(-log1p(-q), 1.0 / c),
         isf=lambda q, c: np.power(-np.log(q), 1 / c),
+        tail_key=lambda a, b: TailKey(power=a, coef=b**-a),
         log_moment=lambda k, a, b: k * np.log(b) + gammaln(1.0 + k / a),
     ),
     "gaussian": _Family(
@@ -464,8 +576,10 @@ FAMILIES = {
         pdf=lambda z, c: norm_pdf(z),
         cdf=lambda z, c: ndtr(z),
         sf=lambda z, c: ndtr(-z),
+        logsf=lambda z, c: log_ndtr(-z),
         ppf=lambda q, c: ndtri(q),
         isf=lambda q, c: -ndtri(q),
+        tail_key=gaussian_tail_key,
         log_moment=lambda k, a, b: gaussian_mixture_log_moments([a], b, [k])[0],
     ),
 }
@@ -545,6 +659,12 @@ class ParametricDistribution(LossDistribution):
 
     def sf(self, x):
         return self._on_support(self._forms.sf, x, 1.0)
+
+    def logsf(self, x):
+        return self._on_support(self._forms.logsf, x, 0.0)
+
+    def tail_key(self):
+        return self._forms.tail_key(float(self.a), float(self.b))
 
     def ppf(self, q):
         return self._quantile(self._forms.ppf, q, self.support.lower, np.inf)
@@ -642,6 +762,25 @@ class TruncatedDistribution(LossDistribution):
 
     def derivative(self, x, k):
         return self.base.derivative(x, k) / self._mass
+
+    @property
+    def _from_below(self):
+        """Whether the window is [lo, inf) with lo finite."""
+        return np.isfinite(self.window.lower) and self.window.upper == np.inf
+
+    def logsf(self, x):
+        if not self._from_below:
+            return super().logsf(x)
+        x = np.asarray(x, dtype=float)
+        lo = self.window.lower
+        inner = self.base.logsf(np.maximum(x, lo)) - np.log(self._mass)
+        return np.where(x < lo, 0.0, inner)[()]
+
+    def tail_key(self):
+        key = self.base.tail_key()
+        if key is None or not self._from_below:
+            return None
+        return key.plus(np.log(self._mass))
 
     def log_moments(self, ks):
         if self.window.lower <= 0:

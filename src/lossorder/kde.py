@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import log_ndtr, logsumexp, ndtr
 
 # not called here; perfbench/tracer.py counts expand_bound in this module
 from ._quad import bisect, expand_bound  # noqa: F401
@@ -25,6 +25,7 @@ from .distributions import (
     SupportInterval,
     gaussian_mixture_derivative,
     gaussian_mixture_log_moments,
+    gaussian_tail_key,
     hermite_he,
     norm_pdf,
 )
@@ -95,6 +96,17 @@ class KernelDensityEstimate(LossDistribution):
 
     def sf(self, x):
         return self._rows(x, lambda u: ndtr(-u).mean(axis=1))
+
+    def logsf(self, x):
+        log_n = np.log(self.n)
+        return self._rows(x, lambda u: logsumexp(log_ndtr(-u), axis=1) - log_n)
+
+    def tail_key(self):
+        """The largest centre's Gaussian tail, carrying the m of n kernels
+        tied at that maximum: -log sf gains log(n / m)."""
+        top = np.max(self._x)
+        tied = np.count_nonzero(self._x == top)
+        return gaussian_tail_key(float(top), self.bandwidth).plus(np.log(self.n / tied))
 
     def isf(self, q):
         """Inverse survival function by bisection (monotone smooth CDF)."""

@@ -5,17 +5,26 @@ dominated: F1 is preferred over F2 when E[X1^k] <= E[X2^k] for all
 sufficiently large k.  On finite representations the decision reduces to
 fast special-case rules (lexicographic comparison of categorical pmf
 vectors, signed density derivatives at the right support endpoint, point
-mass rules, a truncation ladder for unbounded tails), all of which agree
+mass rules, exact tail asymptotics for unbounded tails), all of which agree
 with the moment criterion where their domains overlap.
 
+Two unbounded tails are ordered by their tail keys, the leading terms of
+-log sf(x) as x -> inf: the lighter tail has the eventually smaller
+moments (the density-ratio lemma).  A truncation ladder, comparing moment
+prefixes of windows that end at survival quantiles, remains for the pairs
+without keys (lattices) and for keys that tie.
+
 The rules ask each representation for what they need through the methods of
-``LossDistribution`` (``log_moments``, ``derivative``, ``isf``, ``sf``) and
-its class flags (``has_density``, ``is_discrete``, ``from_samples``), and do
-not inspect its type to get them.  Only the point-mass, categorical and
-lattice rules, each of which exists for one representation, test for it.
+``LossDistribution`` (``log_moments``, ``derivative``, ``isf``, ``sf``,
+``logsf``, ``tail_key``) and its class flags (``has_density``,
+``is_discrete``, ``from_samples``), and do not inspect its type to get them.
+Only the point-mass, categorical and lattice rules, each of which exists for
+one representation, test for it.
 
 Every strict verdict comes with a tail threshold x0: the point above which
-the preferred option's survival function is dominated by the other's.
+the preferred option's survival function is dominated by the other's.  For
+verdicts of the tail keys, the search for x0 follows log survivals out to
+``ISF_CAP``, far beyond where the survivals themselves underflow.
 """
 
 import enum
@@ -25,6 +34,7 @@ import numpy as np
 
 from ._quad import bisect
 from .distributions import (
+    ISF_CAP,
     CategoricalDistribution,
     LatticeDistribution,
     PointMass,
@@ -73,8 +83,16 @@ DERIVATIVE_TOL = 1e-9
 DEFAULT_K_DER = 16
 #: survival-dominance slack in the tail-threshold check
 SURVIVAL_TOL = 1e-9
+#: relative survival-dominance slack of continuous tail thresholds
+SURVIVAL_REL = 1e-6
+#: the same slack between log survivals
+_LOG_SURVIVAL_REL = -np.log1p(-SURVIVAL_REL)
 #: verification grid size for continuous tail thresholds
 GRID_SIZE = 4096
+#: points of the geometric far-tail grid behind tail-key verdicts
+FAR_GRID_SIZE = 256
+#: relative tolerance under which two tail-key terms tie
+TAIL_KEY_TOL = 1e-12
 #: truncation-ladder levels: windows end at survival quantiles 10^-j
 LADDER_LEVELS = tuple(10.0 ** -j for j in range(1, 7))
 
@@ -283,26 +301,17 @@ def _isf(d, q):
     return float(d.isf(q))
 
 
-def _ratio_criterion(f, g, x_top, x_start):
-    """Numeric surrogate of the vanishing-density-ratio criterion."""
-    if x_start >= x_top:
+def _tail_relation(f, g):
+    """The side with the larger tail key, the lighter tail; None when a key
+    is missing or the keys agree in every term to ``TAIL_KEY_TOL``."""
+    kf, kg = f.tail_key(), g.tail_key()
+    if kf is None or kg is None:
         return None
-    xs = np.geomspace(max(x_start, 1e-9), x_top, 256)
-    with np.errstate(invalid="ignore"):
-        logr = np.asarray(f.logpdf(xs), dtype=float) - np.asarray(
-            g.logpdf(xs), dtype=float
-        )
-    tail = logr[len(logr) // 2 :]
-    if np.all(np.isfinite(tail)):
-        decreasing = np.all(np.diff(tail) <= 1e-12)
-        if decreasing and tail[-1] < np.log(1e-3):
-            return Relation.FIRST_STRICT
-    with np.errstate(invalid="ignore"):
-        tail_inv = -logr[len(logr) // 2 :]
-    if np.all(np.isfinite(tail_inv)):
-        decreasing = np.all(np.diff(tail_inv) <= 1e-12)
-        if decreasing and tail_inv[-1] < np.log(1e-3):
-            return Relation.SECOND_STRICT
+    for a, b in zip(kf, kg):
+        if a == b:
+            continue
+        if not np.isfinite(a - b) or abs(a - b) > TAIL_KEY_TOL * max(abs(a), abs(b)):
+            return Relation.FIRST_STRICT if a > b else Relation.SECOND_STRICT
     return None
 
 
@@ -322,10 +331,14 @@ def _ladder_verdicts(pairs, k_max):
 def compare_extended(f, g, levels=LADDER_LEVELS, k_max=DEFAULT_K_MAX):
     """Preference between distributions with unbounded upper tails.
 
-    Tries the density-ratio criterion first; otherwise compares truncations
-    on a ladder of survival-quantile windows and requires a unanimous
-    direction.  Ladder disagreement means the pair is incomparable.
+    Differing tail keys decide: the lighter tail is preferred.  Pairs
+    without keys, or with tied keys, compare truncations on a ladder of
+    survival-quantile windows and require a unanimous direction; ladder
+    disagreement means the pair is incomparable.
     """
+    relation = _tail_relation(f, g)
+    if relation is not None:
+        return PreferenceVerdict(relation, decided_by="TailAsymptotics")
     lattice = isinstance(f, LatticeDistribution) and isinstance(g, LatticeDistribution)
     points = sorted({max(_isf(f, eps), _isf(g, eps)) for eps in levels})
     if lattice:
@@ -335,9 +348,6 @@ def compare_extended(f, g, levels=LADDER_LEVELS, k_max=DEFAULT_K_MAX):
         pts = sorted({q for p in pts for q in (p, p + 1)})
         pairs = [(f.truncated(1, p), g.truncated(1, p)) for p in pts]
     else:
-        verdict = _ratio_criterion(f, g, points[-1], points[0])
-        if verdict is not None:
-            return PreferenceVerdict(verdict, decided_by="RatioCriterion")
         pairs = [(truncate(f, 1.0, p), truncate(g, 1.0, p)) for p in points]
     directions = _ladder_verdicts(pairs, k_max)
     if directions is None:
@@ -390,8 +400,8 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     support-bound rule when upper bounds differ (one of them may be
     infinite), lexicographic comparison for categorical/histogram data,
     derivative-lexicographic comparison for smooth densities on a common
-    compact support, the truncation ladder for two unbounded tails, and the
-    moment-sequence scan for everything else.
+    compact support, tail keys (or, without them, the truncation ladder) for
+    two unbounded tails, and the moment-sequence scan for everything else.
     """
     if isinstance(d1, PointMass) or isinstance(d2, PointMass):
         if isinstance(d1, PointMass):
@@ -475,7 +485,22 @@ def _discrete_threshold(pref, other, first, second):
     return TailThreshold(x0, grid)
 
 
-def _continuous_threshold(pref, other, first, second, grid_size):
+def _violated(sp, so):
+    """Where the preferred survival sp exceeds the other's, so, by more than
+    the relative slack; with no absolute floor, tiny survivals still count."""
+    return sp - so > SURVIVAL_REL * np.maximum(sp, so)
+
+
+def _log_violated(lp, lo):
+    """``_violated`` on log survivals (False where both are -inf)."""
+    with np.errstate(invalid="ignore"):
+        return lp - lo > _LOG_SURVIVAL_REL
+
+
+def _continuous_threshold(pref, other, first, second, grid_size, far=False):
+    """x0 from a linear grid over the bulk, ending at the larger isf(1e-9)
+    of two unbounded tails; with ``far``, the search goes on in log
+    survivals over a geometric grid out to ``ISF_CAP``."""
     lowers = [d.support.lower for d in (pref, other)]
     lo = max(1.0, min(l for l in lowers if np.isfinite(l)) if any(
         np.isfinite(l) for l in lowers
@@ -488,11 +513,16 @@ def _continuous_threshold(pref, other, first, second, grid_size):
     xs = np.linspace(lo, hi, grid_size)
     sp = np.asarray(pref.sf(xs), dtype=float)
     so = np.asarray(other.sf(xs), dtype=float)
-    diff = so - sp
-    # hybrid tolerance: absolute floor for noise near zero, relative slack so
-    # deep-tail violations (tiny survivals, large ratios) are still caught
-    slack = np.maximum(1e-12, 1e-6 * np.maximum(sp, so))
-    viol = diff < -slack
+    viol = _violated(sp, so)
+    if far and hi < ISF_CAP:
+        tail = np.geomspace(hi, ISF_CAP, FAR_GRID_SIZE)[1:]
+        lsp, lso = pref.logsf(tail), other.logsf(tail)
+        seen = (lsp > -np.inf) | (lso > -np.inf)
+        tail = tail[seen]
+        xs = np.concatenate([xs, tail])
+        sp = np.concatenate([sp, np.asarray(pref.sf(tail), dtype=float)])
+        so = np.concatenate([so, np.asarray(other.sf(tail), dtype=float)])
+        viol = np.concatenate([viol, _log_violated(lsp[seen], lso[seen])])
     if not viol.any():
         x0 = lo
         start = 0
@@ -502,10 +532,13 @@ def _continuous_threshold(pref, other, first, second, grid_size):
             raise ThresholdNotFound(
                 "survival dominance never holds up to the support maximum"
             )
-
-        def violated(x):
-            smp, smo = float(pref.sf(x)), float(other.sf(x))
-            return smo - smp < -max(1e-12, 1e-6 * max(smp, smo))
+        if far:
+            # x0 at the crossing itself, which the log survivals resolve
+            def violated(x):
+                return float(pref.logsf(x)) > float(other.logsf(x))
+        else:
+            def violated(x):
+                return _violated(float(pref.sf(x)), float(other.sf(x)))
 
         x0 = bisect(violated, xs[last], xs[last + 1], 80)[1]
         start = last + 1
@@ -515,7 +548,7 @@ def _continuous_threshold(pref, other, first, second, grid_size):
     so = np.concatenate([np.asarray(other.sf(points[:1]), dtype=float), so[start:]])
     s1 = sp if pref is first else so
     s2 = so if pref is first else sp
-    if np.any(sp - so > np.maximum(1e-12, 1e-6 * np.maximum(sp, so))):
+    if np.any(_violated(sp, so)):
         raise ThresholdNotFound("verification grid rejects the candidate threshold")
     grid = tuple(zip(points.tolist(), s1.tolist(), s2.tolist()))
     return TailThreshold(float(x0), grid)
@@ -560,4 +593,5 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         pref.support.is_compact and other.support.is_compact
     ):
         return _discrete_threshold(pref, other, d1, d2)
-    return _continuous_threshold(pref, other, d1, d2, grid_size)
+    far = verdict.decided_by == "TailAsymptotics"
+    return _continuous_threshold(pref, other, d1, d2, grid_size, far)

@@ -99,11 +99,16 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "gamma:2,1", "gamma:3,1")
         assert code == 10
 
-    def test_report_kept_when_certificate_fails(self, capsys, nile_csv):
+    def test_report_kept_when_certificate_fails(self, capsys, nile_csv, monkeypatch):
+        def no_certificate(*args):
+            raise ThresholdNotFound("survival dominance never holds up to the support maximum")
+
+        monkeypatch.setattr(cli.ordering, "tail_threshold", no_certificate)
+        # the KDE's bandwidth (about 60.6) is below 150: its tail is the lighter
         code, out, err = run(capsys, "compare", nile_csv, "gaussian:900,150", "--threshold")
         assert code == 10
         report = json.loads(out)
-        assert report["verdict"]["relation"] == "SecondStrictlyPreferred"
+        assert report["verdict"]["relation"] == "FirstStrictlyPreferred"
         assert report["x0"] is None
         assert report["x0_error"] == "survival dominance never holds up to the support maximum"
         assert "survival dominance never holds" in err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -177,6 +179,20 @@ class TestPiecewisePoly:
         assert d.pdf(3.0) == pdf(3.0) and np.ndim(d.pdf(3.0)) == 0
         assert d.cdf(np.array([])).shape == (0,)
 
+    def test_pdf_off_the_support_does_not_warn(self):
+        t = PiecewisePolyDensity([1.0, 2.0, 3.0], [[-1.0, 1.0], [3.0, -1.0]])
+        xs = np.array([-np.inf, -1e308, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 1e308, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = t.pdf(xs)
+            assert t.pdf(np.inf) == 0.0 and t.pdf(-np.inf) == 0.0
+        # on the support the values are those of the segment polynomials
+        inside = (xs >= 1.0) & (xs <= 3.0)
+        polys = [np.polynomial.Polynomial(c) for c in ([-1.0, 1.0], [3.0, -1.0])]
+        want = [max(polys[int(v >= 2.0)](v), 0.0) for v in xs[inside]]
+        assert np.array_equal(got[inside], want)
+        assert np.array_equal(got[~inside], np.zeros((~inside).sum()))
+
 
 class TestParametric:
     def test_gamma_moment_closed_form_vs_quadrature(self):
@@ -214,6 +230,24 @@ class TestParametric:
                     lambda x: x**k * frozen.pdf(x), -np.inf, np.inf
                 )
             assert np.exp(d.log_moment(k)) == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("a,b", [(31.0063, 1.74346), (6.27294, 2.20532), (6.19073, 2.06288)])
+    def test_gumbel_moments_from_cumulants(self, a, b):
+        # minimum-extreme-value cumulants: a - γb, then (-1)^n (n-1)! b^n ζ(n);
+        # raw moments by m_n = Σ_j C(n-1, j-1) κ_j m_(n-j)
+        import mpmath
+
+        with mpmath.workdps(40):
+            kappa = [None, a - mpmath.euler * b] + [
+                (-1) ** n * mpmath.factorial(n - 1) * mpmath.mpf(b) ** n * mpmath.zeta(n)
+                for n in range(2, 9)
+            ]
+            m = [mpmath.mpf(1)]
+            for n in range(1, 9):
+                m.append(sum(mpmath.binomial(n - 1, j - 1) * kappa[j] * m[n - j] for j in range(1, n + 1)))
+            want = [float(mpmath.log(v)) for v in m[1:]]
+        got = Gumbel(a, b).log_moments(np.arange(1, 9))
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     def test_gaussian_moments(self):
         d = Gaussian(10.0, 2.0)

@@ -263,5 +263,5 @@ def test_ladder_on_kde_memory_is_linear_in_samples():
     # heavier-than-Gaussian samples: the truncation ladder integrates logpdf
     k = fit(1.0 + np.random.default_rng(5).gamma(3.0, 2.0, 1000))
     v, peak = _traced(lambda: compare(k, Gaussian(10.0, 2.0)))
-    assert v.decided_by == "TruncationLadder"
+    assert v.decided_by == "TailAsymptotics"
     assert peak < 32 * 2**20

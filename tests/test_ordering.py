@@ -169,12 +169,12 @@ class TestDispatcher:
     def test_unbounded_pair_goes_through_ladder(self):
         v = compare(Gumbel(6.27294, 2.20532), Gumbel(6.19073, 2.06288))
         assert v.relation is Relation.SECOND_STRICT
-        assert v.decided_by == "TruncationLadder"
+        assert v.decided_by == "TailAsymptotics"
 
     def test_scale_ratio_pair_uses_ratio_criterion(self):
         v = compare(Gamma(260.345, 0.0373929), Weibull(20.0, 10.0))
         assert v.relation is Relation.SECOND_STRICT
-        assert v.decided_by == "RatioCriterion"
+        assert v.decided_by == "TailAsymptotics"
 
     def test_identical_unbounded_inputs_equivalent(self):
         g = Gumbel(5.0, 1.0)
