@@ -20,6 +20,9 @@ Where it knows better than the generic forms, it overrides:
 - ``tail_key()``: the leading terms of -log sf(x) as x -> inf, a
   ``TailKey`` (default: None, no closed form).
 
+The finite pmfs (categorical, histogram, point mass) give
+``descending_pmf()``, the lattice ``truncated(a, b)``.
+
 Three class flags describe it to the comparison rules: ``has_density``,
 ``is_discrete`` and ``from_samples`` (a kernel estimate over raw samples).
 
@@ -200,13 +203,15 @@ class LossDistribution:
 
 
 class _FinitePmf(LossDistribution):
-    """Finite pmf: moments are one log-sum over its atoms."""
+    """Finite pmf: ``descending_pmf()`` gives its atoms as (values, probs)
+    arrays in strictly descending severity order, and its moments are one
+    log-sum over them."""
 
     has_density = False
     is_discrete = True
 
     def log_moments(self, ks):
-        values, probs = descending_pmf(self)
+        values, probs = self.descending_pmf()
         mask = probs > 0
         if (values[mask] <= 0).any():
             raise MomentsUndefined("log-domain moments need strictly positive outcomes")
@@ -256,6 +261,9 @@ class CategoricalDistribution(_FinitePmf):
     def pmf(self, label):
         return self.probs[self.labels.index(label)]
 
+    def descending_pmf(self):
+        return np.asarray(self.ranks), np.asarray(self.probs)
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         ranks = np.asarray(self.ranks)
@@ -298,6 +306,9 @@ class HistogramDistribution(_FinitePmf):
     @property
     def support(self):
         return SupportInterval(self.bin_values[0], self.bin_values[-1])
+
+    def descending_pmf(self):
+        return np.asarray(self.bin_values)[::-1], np.asarray(self.probs)[::-1]
 
     def pdf(self, x):
         raise NoDensity("histogram distribution has no density")
@@ -718,7 +729,11 @@ def Gaussian(mu, sigma):
 
 
 class TruncatedDistribution(LossDistribution):
-    """Conditional distribution Pr(X <= x | a <= X <= b) of a continuous base."""
+    """Conditional distribution Pr(X <= x | a <= X <= b) of a continuous base.
+
+    A window unbounded above keeps the base's tail: its tail key is the base
+    key plus log(mass), and its log survival the base's minus log(mass).
+    """
 
     def __init__(self, base, window: SupportInterval):
         if not base.has_density:
@@ -754,22 +769,23 @@ class TruncatedDistribution(LossDistribution):
             inside, self.base.logpdf(x) - np.log(self._mass), -np.inf
         )[()]
 
+    def _clipped(self, x):
+        return np.clip(np.asarray(x, dtype=float), self.window.lower, self.window.upper)
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, self.window.lower, self.window.upper)
         lo_cdf = self.base.cdf(self.window.lower)
-        return np.clip((self.base.cdf(clipped) - lo_cdf) / self._mass, 0.0, 1.0)[()]
+        return np.clip((self.base.cdf(self._clipped(x)) - lo_cdf) / self._mass, 0.0, 1.0)[()]
+
+    def sf(self, x):
+        # a difference of base survivals keeps its relative precision far out
+        hi_sf = self.base.sf(self.window.upper)
+        return np.clip((self.base.sf(self._clipped(x)) - hi_sf) / self._mass, 0.0, 1.0)[()]
 
     def derivative(self, x, k):
         return self.base.derivative(x, k) / self._mass
 
-    @property
-    def _from_below(self):
-        """Whether the window is [lo, inf) with lo finite."""
-        return np.isfinite(self.window.lower) and self.window.upper == np.inf
-
     def logsf(self, x):
-        if not self._from_below:
+        if self.window.upper < np.inf:
             return super().logsf(x)
         x = np.asarray(x, dtype=float)
         lo = self.window.lower
@@ -778,7 +794,7 @@ class TruncatedDistribution(LossDistribution):
 
     def tail_key(self):
         key = self.base.tail_key()
-        if key is None or not self._from_below:
+        if key is None or self.window.upper < np.inf:
             return None
         return key.plus(np.log(self._mass))
 
@@ -791,19 +807,19 @@ class TruncatedDistribution(LossDistribution):
     def _log_moment(self, k):
         lo, hi = self.window.lower, self.window.upper
         if not np.isfinite(lo):
-            lo = float(_moment_window(self.base, k)[0]) \
-                if isinstance(self.base, ParametricDistribution) else hi - 1.0
+            # the x^k-weighted density, followed down from the upper end
+            def logw(x):
+                return k * np.log(max(abs(x), 1e-300)) + float(self.logpdf(x))
+
+            lo = expand_bound(logw, hi, 1.0, -1)
         return signed_log_moment(self.logpdf, lo, hi, k)
 
 
 @dataclass(frozen=True)
-class PointMass(LossDistribution):
+class PointMass(_FinitePmf):
     """Degenerate distribution: all mass at a single loss value >= 1."""
 
     value: float
-
-    has_density = False
-    is_discrete = True
 
     def __post_init__(self):
         if self.value < 1.0:
@@ -820,8 +836,8 @@ class PointMass(LossDistribution):
         x = np.asarray(x, dtype=float)
         return np.where(x >= self.value, 1.0, 0.0)[()]
 
-    def _log_moment(self, k):
-        return k * np.log(self.value)
+    def descending_pmf(self):
+        return np.asarray([self.value]), np.asarray([1.0])
 
 
 class LatticeDistribution(LossDistribution):
@@ -903,17 +919,3 @@ def truncate(d, a, b):
         raise ValueError("truncation window must satisfy a < b")
     return TruncatedDistribution(d, SupportInterval(float(a), float(b)))
 
-
-def descending_pmf(d):
-    """(values, probs) in strictly descending severity order, for finite
-    discrete distributions."""
-    if isinstance(d, CategoricalDistribution):
-        return np.asarray(d.ranks), np.asarray(d.probs)
-    if isinstance(d, HistogramDistribution):
-        return (
-            np.asarray(d.bin_values)[::-1].copy(),
-            np.asarray(d.probs)[::-1].copy(),
-        )
-    if isinstance(d, PointMass):
-        return np.asarray([d.value]), np.asarray([1.0])
-    raise TypeError(f"{type(d).__name__} has no finite pmf")

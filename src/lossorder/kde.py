@@ -123,9 +123,9 @@ class KernelDensityEstimate(LossDistribution):
         """Exact log E[X^k] of the kernel mixture."""
         return gaussian_mixture_log_moments(self._x, self.bandwidth, ks)
 
-    def effective_upper_bound(self, multiplier=1.0):
+    def effective_upper_bound(self):
         """Right-end proxy of the estimate: max sample plus one bandwidth."""
-        return max(self.samples) + multiplier * self.bandwidth
+        return max(self.samples) + self.bandwidth
 
     def shifted(self, offset):
         """Same estimate translated along the loss axis (bandwidth is kept;

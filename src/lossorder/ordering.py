@@ -10,16 +10,18 @@ with the moment criterion where their domains overlap.
 
 Two unbounded tails are ordered by their tail keys, the leading terms of
 -log sf(x) as x -> inf: the lighter tail has the eventually smaller
-moments (the density-ratio lemma).  A truncation ladder, comparing moment
-prefixes of windows that end at survival quantiles, remains for the pairs
-without keys (lattices) and for keys that tie.
+moments (the density-ratio lemma), and keys that agree are equivalent.
+Lattices have no key: two of them compare moment prefixes on a ladder of
+integer windows that end at survival quantiles.  An unbounded pair with
+neither two keys nor two lattices is refused with ``NoDensity``.
 
 The rules ask each representation for what they need through the methods of
 ``LossDistribution`` (``log_moments``, ``derivative``, ``isf``, ``sf``,
-``logsf``, ``tail_key``) and its class flags (``has_density``,
-``is_discrete``, ``from_samples``), and do not inspect its type to get them.
-Only the point-mass, categorical and lattice rules, each of which exists for
-one representation, test for it.
+``logsf``, ``tail_key``, and ``truncated`` and ``descending_pmf`` on the
+discrete ones) and its class flags (``has_density``, ``is_discrete``,
+``from_samples``), and do not inspect its type to get them.  Only the
+point-mass and categorical rules, each of which exists for one
+representation, test for it.
 
 Every strict verdict comes with a tail threshold x0: the point above which
 the preferred option's survival function is dominated by the other's.  For
@@ -36,15 +38,14 @@ from ._quad import bisect
 from .distributions import (
     ISF_CAP,
     CategoricalDistribution,
-    LatticeDistribution,
     PointMass,
-    descending_pmf,
     truncate,
 )
 from .errors import (
     AdmissibilityError,
     DerivativeUnavailable,
     MeaninglessComparison,
+    NoDensity,
     SupportMismatch,
     ThresholdNotFound,
     Undecided,
@@ -64,7 +65,6 @@ __all__ = [
     "compare_kdes",
     "compare",
     "tail_threshold",
-    "density_derivative",
 ]
 
 #: default moment-prefix length
@@ -172,25 +172,19 @@ def moment_sequence(d, k_max=DEFAULT_K_MAX):
     return MomentSequence(tuple(d.log_moments(np.arange(1, k_max + 1))))
 
 
-def compare_moment_sequences(
-    m1,
-    m2,
-    window=DOMINANCE_WINDOW,
-    tie_tol=MOMENT_TIE_TOL,
-    equiv_tol=EQUIVALENCE_TOL,
-):
+def compare_moment_sequences(m1, m2):
     """Decide preference by scanning the two moment prefixes.
 
-    Strict dominance requires the last ``window`` orders to agree strictly in
-    one direction; the reported stabilization index is the first order of
-    that final stable run.
+    Strict dominance requires the last ``DOMINANCE_WINDOW`` orders to agree
+    strictly in one direction; the reported stabilization index is the first
+    order of that final stable run.
     """
     if m1.k_max != m2.k_max:
         raise ValueError("moment sequences must share k_max")
     diffs = np.asarray(m2.log_moments) - np.asarray(m1.log_moments)
-    if np.all(np.abs(diffs) <= equiv_tol):
+    if np.all(np.abs(diffs) <= EQUIVALENCE_TOL):
         return PreferenceVerdict(Relation.EQUIVALENT, decided_by="MomentDominance")
-    signs = np.where(diffs > tie_tol, 1, np.where(diffs < -tie_tol, -1, 0))
+    signs = np.where(diffs > MOMENT_TIE_TOL, 1, np.where(diffs < -MOMENT_TIE_TOL, -1, 0))
     last = signs[-1]
     trace = list(zip(range(1, m1.k_max + 1), signs.tolist()))
     if last == 0:
@@ -199,9 +193,9 @@ def compare_moment_sequences(
     while start > 1 and signs[start - 2] == last:
         start -= 1
     run = m1.k_max - start + 1
-    if run < window:
+    if run < DOMINANCE_WINDOW:
         raise Undecided(
-            f"stable run of length {run} is shorter than the window {window}",
+            f"stable run of length {run} is shorter than the window {DOMINANCE_WINDOW}",
             trace,
         )
     relation = Relation.FIRST_STRICT if last > 0 else Relation.SECOND_STRICT
@@ -211,8 +205,8 @@ def compare_moment_sequences(
 
 
 def _aligned_descending(p, q):
-    vp, pp = descending_pmf(p)
-    vq, pq = descending_pmf(q)
+    vp, pp = p.descending_pmf()
+    vq, pq = q.descending_pmf()
     if len(vp) == len(vq) and np.allclose(vp, vq, rtol=0, atol=1e-9):
         return vp, pp, pq
     values = np.union1d(vp, vq)[::-1]
@@ -223,7 +217,7 @@ def _aligned_descending(p, q):
     return values, fp, fq
 
 
-def compare_categorical(p, q, tol=PMF_TOL):
+def compare_categorical(p, q):
     """Lexicographic comparison of pmf vectors in descending severity order."""
     if isinstance(p, CategoricalDistribution) and isinstance(q, CategoricalDistribution):
         if p.labels != q.labels or not np.allclose(
@@ -232,7 +226,7 @@ def compare_categorical(p, q, tol=PMF_TOL):
             raise SupportMismatch("categorical supports differ; align them first")
     _, fp, fq = _aligned_descending(p, q)
     for i, (a, b) in enumerate(zip(fp, fq)):
-        if abs(a - b) > tol:
+        if abs(a - b) > PMF_TOL:
             relation = Relation.FIRST_STRICT if a < b else Relation.SECOND_STRICT
             return PreferenceVerdict(
                 relation, decided_by="CategoricalLex", stabilization_index=i + 1
@@ -242,34 +236,22 @@ def compare_categorical(p, q, tol=PMF_TOL):
 
 def compare_point_mass(a, y):
     """Preference between a deterministic loss and a random one."""
-    if isinstance(y, PointMass):
-        if abs(a.value - y.value) <= 1e-12:
-            return PreferenceVerdict(Relation.EQUIVALENT, decided_by="PointMassRule")
-        relation = (
-            Relation.FIRST_STRICT if a.value < y.value else Relation.SECOND_STRICT
-        )
-        return PreferenceVerdict(relation, decided_by="PointMassRule")
     b = y.support.upper
-    if a.value < b:
-        return PreferenceVerdict(Relation.FIRST_STRICT, decided_by="PointMassRule")
+    if y.support.lower == b and abs(a.value - b) <= 1e-12:
+        # y is the same sure loss, whatever represents it
+        return PreferenceVerdict(Relation.EQUIVALENT, decided_by="PointMassRule")
     # a >= b: every realisation of y is at most a, so y is preferred
-    return PreferenceVerdict(Relation.SECOND_STRICT, decided_by="PointMassRule")
+    relation = Relation.FIRST_STRICT if a.value < b else Relation.SECOND_STRICT
+    return PreferenceVerdict(relation, decided_by="PointMassRule")
 
 
-def density_derivative(d, x, k):
-    """k-th derivative of a density at x: the density itself at k = 0, the
-    representation's closed form above (``DerivativeUnavailable`` if none)."""
-    if k == 0:
-        return float(d.pdf(x))
-    return d.derivative(x, k)
-
-
-def compare_smooth(f, g, k_der=DEFAULT_K_DER, k_max=DEFAULT_K_MAX):
+def compare_smooth(f, g, k_max=DEFAULT_K_MAX):
     """Derivative-lexicographic comparison at the common right endpoint.
 
-    Examines ((-1)^k f_k(a))_k for k = 0..k_der; the lexicographically
-    smaller sequence is preferred.  Exhausted or unavailable derivatives fall
-    back to the moment-sequence comparison.
+    Examines ((-1)^k f_k(a))_k for k = 0..DEFAULT_K_DER, f_0 being the
+    density itself; the lexicographically smaller sequence is preferred.
+    Exhausted or unavailable derivatives fall back to the moment-sequence
+    comparison.
     """
     af, ag = f.support.upper, g.support.upper
     if not (np.isfinite(af) and np.isfinite(ag)):
@@ -278,10 +260,10 @@ def compare_smooth(f, g, k_der=DEFAULT_K_DER, k_max=DEFAULT_K_MAX):
         raise ValueError("right endpoints differ; use the dispatcher")
     a = af
     try:
-        for k in range(k_der + 1):
+        for k in range(DEFAULT_K_DER + 1):
             sign = -1.0 if k % 2 else 1.0
-            vf = sign * density_derivative(f, a, k)
-            vg = sign * density_derivative(g, a, k)
+            vf = sign * f.derivative(a, k)
+            vg = sign * g.derivative(a, k)
             tol = max(DERIVATIVE_TOL, DERIVATIVE_TOL * max(abs(vf), abs(vg)))
             if abs(vf - vg) > tol:
                 relation = (
@@ -301,12 +283,9 @@ def _isf(d, q):
     return float(d.isf(q))
 
 
-def _tail_relation(f, g):
-    """The side with the larger tail key, the lighter tail; None when a key
-    is missing or the keys agree in every term to ``TAIL_KEY_TOL``."""
-    kf, kg = f.tail_key(), g.tail_key()
-    if kf is None or kg is None:
-        return None
+def _tail_relation(kf, kg):
+    """The side with the larger tail key, the lighter tail; None when the
+    keys agree in every term to ``TAIL_KEY_TOL``."""
     for a, b in zip(kf, kg):
         if a == b:
             continue
@@ -328,27 +307,40 @@ def _ladder_verdicts(pairs, k_max):
     return directions
 
 
-def compare_extended(f, g, levels=LADDER_LEVELS, k_max=DEFAULT_K_MAX):
+def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     """Preference between distributions with unbounded upper tails.
 
-    Differing tail keys decide: the lighter tail is preferred.  Pairs
-    without keys, or with tied keys, compare truncations on a ladder of
-    survival-quantile windows and require a unanimous direction; ladder
-    disagreement means the pair is incomparable.
+    Tail keys decide: the lighter tail is preferred, and keys that agree are
+    equivalent.  Two lattices, which have no key, compare their restrictions
+    to integer windows on a ladder of survival quantiles and require a
+    unanimous direction; ladder disagreement means the pair is incomparable.
+    Any other pair without two keys raises ``NoDensity``.
     """
-    relation = _tail_relation(f, g)
-    if relation is not None:
+    kf, kg = f.tail_key(), g.tail_key()
+    if kf is not None and kg is not None:
+        relation = _tail_relation(kf, kg)
+        if relation is None:
+            return PreferenceVerdict(
+                Relation.EQUIVALENT,
+                decided_by="TailAsymptotics",
+                caveat=f"the tail keys agree to {TAIL_KEY_TOL:g} in every term",
+            )
         return PreferenceVerdict(relation, decided_by="TailAsymptotics")
-    lattice = isinstance(f, LatticeDistribution) and isinstance(g, LatticeDistribution)
-    points = sorted({max(_isf(f, eps), _isf(g, eps)) for eps in levels})
-    if lattice:
-        # adjacent truncation points expose alternating (parity-dependent)
-        # preferences, which quantile points alone can miss
-        pts = sorted({int(np.floor(p)) for p in points})
-        pts = sorted({q for p in pts for q in (p, p + 1)})
-        pairs = [(f.truncated(1, p), g.truncated(1, p)) for p in pts]
-    else:
-        pairs = [(truncate(f, 1.0, p), truncate(g, 1.0, p)) for p in points]
+    if not (kf is None and kg is None and f.is_discrete and g.is_discrete):
+        lacking = " and ".join(
+            f"the {side} ({type(d).__name__})"
+            for side, d, key in (("first", f, kf), ("second", g, kg))
+            if key is None
+        )
+        raise NoDensity(
+            f"{lacking} has no tail_key(); an unbounded pair needs two tail "
+            "keys or two lattices"
+        )
+    # each quantile point and its integer successor: adjacent windows expose
+    # alternating (parity-dependent) preferences, which the points alone miss
+    points = {int(np.floor(max(_isf(f, eps), _isf(g, eps)))) for eps in LADDER_LEVELS}
+    ends = sorted({q for p in points for q in (p, p + 1)})
+    pairs = [(f.truncated(1, p), g.truncated(1, p)) for p in ends]
     directions = _ladder_verdicts(pairs, k_max)
     if directions is None:
         return PreferenceVerdict(
@@ -368,20 +360,20 @@ def compare_extended(f, g, levels=LADDER_LEVELS, k_max=DEFAULT_K_MAX):
     return PreferenceVerdict(strict.pop(), decided_by="TruncationLadder")
 
 
-def compare_kdes(k1, k2, multiplier=1.0, k_der=16):
+def compare_kdes(k1, k2):
     """Preference between two KDEs following the effective-bound rule.
 
     If the effective upper bounds differ, the estimate whose mass ends lower
     is preferred outright.  Otherwise both are truncated at the common bound
     and the derivative-lexicographic comparison decides.
     """
-    e1 = k1.effective_upper_bound(multiplier)
-    e2 = k2.effective_upper_bound(multiplier)
+    e1 = k1.effective_upper_bound()
+    e2 = k2.effective_upper_bound()
     scale = max(abs(e1), abs(e2), 1.0)
     if abs(e1 - e2) > 1e-9 * scale:
         relation = Relation.FIRST_STRICT if e1 < e2 else Relation.SECOND_STRICT
         return PreferenceVerdict(relation, decided_by="EffectiveBound")
-    return compare_smooth(truncate(k1, 1.0, e1), truncate(k2, 1.0, e1), k_der=k_der)
+    return compare_smooth(truncate(k1, 1.0, e1), truncate(k2, 1.0, e1))
 
 
 def _check_admissible(d):
@@ -400,12 +392,12 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     support-bound rule when upper bounds differ (one of them may be
     infinite), lexicographic comparison for categorical/histogram data,
     derivative-lexicographic comparison for smooth densities on a common
-    compact support, tail keys (or, without them, the truncation ladder) for
-    two unbounded tails, and the moment-sequence scan for everything else.
+    compact support, tail keys (or, for two lattices, the truncation ladder)
+    for two unbounded tails, and the moment-sequence scan for everything else.
     """
-    if isinstance(d1, PointMass) or isinstance(d2, PointMass):
-        if isinstance(d1, PointMass):
-            return compare_point_mass(d1, d2)
+    if isinstance(d1, PointMass):
+        return compare_point_mass(d1, d2)
+    if isinstance(d2, PointMass):
         return compare_point_mass(d2, d1).flipped()
     cat1 = isinstance(d1, CategoricalDistribution)
     cat2 = isinstance(d2, CategoricalDistribution)
@@ -461,9 +453,7 @@ def _categorical_threshold(pref, other, first, second):
 
 
 def _discrete_threshold(pref, other, first, second):
-    values = np.union1d(
-        descending_pmf(pref)[0], descending_pmf(other)[0]
-    )  # ascending
+    values = np.union1d(pref.descending_pmf()[0], other.descending_pmf()[0])  # ascending
     sp = np.array([pref.sf(v) for v in values])
     so = np.array([other.sf(v) for v in values])
     viol = sp > so + SURVIVAL_TOL
@@ -497,7 +487,7 @@ def _log_violated(lp, lo):
         return lp - lo > _LOG_SURVIVAL_REL
 
 
-def _continuous_threshold(pref, other, first, second, grid_size, far=False):
+def _continuous_threshold(pref, other, first, second, far=False):
     """x0 from a linear grid over the bulk, ending at the larger isf(1e-9)
     of two unbounded tails; with ``far``, the search goes on in log
     survivals over a geometric grid out to ``ISF_CAP``."""
@@ -510,7 +500,7 @@ def _continuous_threshold(pref, other, first, second, grid_size, far=False):
         hi = max(uppers)
     else:
         hi = max(_isf(pref, 1e-9), _isf(other, 1e-9))
-    xs = np.linspace(lo, hi, grid_size)
+    xs = np.linspace(lo, hi, GRID_SIZE)
     sp = np.asarray(pref.sf(xs), dtype=float)
     so = np.asarray(other.sf(xs), dtype=float)
     viol = _violated(sp, so)
@@ -554,7 +544,7 @@ def _continuous_threshold(pref, other, first, second, grid_size, far=False):
     return TailThreshold(float(x0), grid)
 
 
-def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
+def tail_threshold(d1, d2, verdict):
     """Tail threshold x0 certifying a preference verdict.
 
     Above x0 the preferred distribution's survival function never exceeds
@@ -574,7 +564,7 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
         d1s, d2s = d1.shifted(shift), d2.shifted(shift)
         prefs = d1s if pref is d1 else d2s
         others = d2s if pref is d1 else d1s
-        return _continuous_threshold(prefs, others, d1s, d2s, grid_size)
+        return _continuous_threshold(prefs, others, d1s, d2s)
     if verdict.decided_by == "SupportBound":
         hi = other.support.upper
         if not np.isfinite(hi):
@@ -594,4 +584,4 @@ def tail_threshold(d1, d2, verdict, grid_size=GRID_SIZE):
     ):
         return _discrete_threshold(pref, other, d1, d2)
     far = verdict.decided_by == "TailAsymptotics"
-    return _continuous_threshold(pref, other, d1, d2, grid_size, far)
+    return _continuous_threshold(pref, other, d1, d2, far)

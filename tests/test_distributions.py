@@ -16,7 +16,6 @@ from lossorder.distributions import (
     PointMass,
     SupportInterval,
     Weibull,
-    descending_pmf,
     truncate,
 )
 from lossorder.errors import (
@@ -29,7 +28,6 @@ from lossorder.kde import fit
 from lossorder.ordering import (
     Relation,
     compare,
-    density_derivative,
     moment_sequence,
     tail_threshold,
 )
@@ -355,6 +353,13 @@ class TestTruncated:
         oracle, _ = integrate.quad(lambda x: x**2 * base.pdf(x) / mass, 1.0, 4.0)
         assert np.exp(t.log_moment(2)) == pytest.approx(oracle, rel=1e-9)
 
+    def test_open_left_window_of_any_base(self):
+        # the lower end follows the x^k-weighted density down from 20
+        k = fit(1.0 + np.random.default_rng(0).gamma(3.0, 2.0, 200))
+        for order in (1, 2, 6):
+            open_left = truncate(k, -np.inf, 20.0).log_moment(order)
+            assert open_left == pytest.approx(truncate(k, -50.0, 20.0).log_moment(order), abs=1e-9)
+
     def test_empty_window(self):
         with pytest.raises(EmptyTruncation):
             truncate(Gamma(2.0, 1.0), 1e6, 2e6)
@@ -391,7 +396,7 @@ class TestLattice:
         t = g.truncated(1, 3)
         assert sum(t.probs) == pytest.approx(1.0)
         # masses keep their ratios: 4 : 2 : 1 over values 1, 2, 3
-        values, probs = descending_pmf(t)
+        values, probs = t.descending_pmf()
         assert values.tolist() == [3.0, 2.0, 1.0]
         assert probs == pytest.approx(np.array([1, 2, 4]) / 7.0)
 
@@ -419,7 +424,7 @@ class TestLattice:
 
 def test_descending_pmf_orders_worst_first():
     h = HistogramDistribution((1.0, 2.0, 3.0), (1, 2, 1))
-    values, probs = descending_pmf(h)
+    values, probs = h.descending_pmf()
     assert values.tolist() == [3.0, 2.0, 1.0]
     assert probs.tolist() == pytest.approx([0.25, 0.5, 0.25])
 
@@ -465,4 +470,4 @@ class TestRepresentationProtocol:
         base = Gaussian(10.0, 2.0)
         t = truncate(base, 1.0, 20.0)
         for k in range(1, 7):
-            assert density_derivative(t, 20.0, k) == base.derivative(20.0, k) / t.renormalization
+            assert t.derivative(20.0, k) == base.derivative(20.0, k) / t.renormalization

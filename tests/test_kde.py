@@ -109,7 +109,6 @@ class TestEstimate:
     def test_effective_upper_bound(self):
         k = self.make()
         assert k.effective_upper_bound() == pytest.approx(6.8)
-        assert k.effective_upper_bound(2.0) == pytest.approx(7.6)
 
     def test_shifted_keeps_bandwidth(self):
         k = self.make().shifted(10.0)

@@ -15,6 +15,7 @@ from lossorder.distributions import (
 from lossorder.errors import (
     AdmissibilityError,
     MeaninglessComparison,
+    NoDensity,
     SupportMismatch,
     ThresholdNotFound,
     Undecided,
@@ -124,6 +125,14 @@ class TestPointMassRules:
         assert v.relation is Relation.SECOND_STRICT
         assert v.decided_by == "PointMassRule"
 
+    def test_point_mass_equals_a_one_bin_histogram(self):
+        # both are a sure loss of 3, whichever side the point mass is on
+        sure = HistogramDistribution((3.0,), (5,))
+        for v in (compare(PointMass(3.0), sure), compare(sure, PointMass(3.0))):
+            assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "PointMassRule")
+        assert compare(PointMass(2.0), sure).relation is Relation.FIRST_STRICT
+        assert compare(sure, PointMass(2.0)).relation is Relation.SECOND_STRICT
+
 
 class TestSmoothComparison:
     def test_endpoint_density_decides(self):
@@ -184,6 +193,22 @@ class TestDispatcher:
         even, odd = fixtures.poisson_like_pair()
         v = compare(even, odd)
         assert v.relation is Relation.INCOMPARABLE
+
+    def test_tied_tail_keys_are_equivalent(self):
+        # the same key: Gumbel(0, 1) twice, and one exponential law written
+        # as a Gamma and as a Weibull
+        for d1, d2 in ((Gumbel(0.0, 1.0), Gumbel(0.0, 1.0)), (Gamma(1.0, 3.0), Weibull(1.0, 3.0))):
+            v = compare(d1, d2)
+            assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "TailAsymptotics")
+            assert "tail keys agree" in v.caveat
+
+    @pytest.mark.parametrize("density", [Gaussian(10.0, 2.0), Gamma(3.0, 2.0), fit([2.0, 3.0, 7.5])])
+    def test_lattice_against_density_names_the_keyless_side(self, density):
+        even, _ = fixtures.poisson_like_pair()
+        with pytest.raises(NoDensity, match=r"^the first \(LatticeDistribution\) has no tail_key\(\)"):
+            compare(even, density)
+        with pytest.raises(NoDensity, match=r"^the second \(LatticeDistribution\) has no tail_key\(\)"):
+            compare(density, even)
 
 
 class TestTailThreshold:

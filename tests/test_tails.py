@@ -148,12 +148,13 @@ class TestTailKeys:
         base = Gumbel(5.0, 1.0)
         v = compare(base, Gumbel(5.0, 1.0 + 1e-9))
         assert (v.relation, v.decided_by) == (Relation.FIRST_STRICT, "TailAsymptotics")
-        assert compare(base, Gumbel(5.0, 1.0 + 1e-14)).decided_by == "TruncationLadder"
+        v = compare(base, Gumbel(5.0, 1.0 + 1e-14))
+        assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "TailAsymptotics")
 
     def test_only_lower_truncations_have_keys(self):
         g = Gamma(3.0, 2.0)
         assert truncate(g, 1.0, 30.0).tail_key() is None
-        assert truncate(Gaussian(10.0, 2.0), -np.inf, np.inf).tail_key() is None
+        assert truncate(Gaussian(10.0, 2.0), -np.inf, np.inf).tail_key() is not None
         assert truncate(g, 1.0, np.inf).tail_key() is not None
         assert PiecewisePolyDensity.uniform(1.0, 2.0).tail_key() is None
 
@@ -350,3 +351,53 @@ def test_pool_pair_certifies_at_the_last_crossing(a, b):
     elif v.decided_by in ("SupportBound", "PointMassRule"):
         # the preferred side's losses end at its upper bound
         assert t.x0 <= POOL[pref][0].support.upper
+
+
+# --- truncations open above -------------------------------------------------
+
+_LOWER_OTHERS = {
+    "gumbel_ex1a": POOL["gumbel_ex1a"],
+    "kde_tied_max": next((d, logsf) for name, d, logsf in CASES if name == "kde_tied_max"),
+    "gaussian_10_2": POOL["gaussian_10_2"],
+}
+
+
+class TestOpenAboveTruncations:
+    def test_survival_keeps_its_relative_precision(self):
+        t = truncate(Gaussian(*_G), 1.0, np.inf)
+        with mpmath.workdps(40):
+            want = float(mpmath.exp(mp_from_below(mp_gaussian(*_G), 1.0)(25.0)))
+        assert t.sf(25.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("other", list(_LOWER_OTHERS))
+    @pytest.mark.parametrize("lo", [1.0, 9.0])
+    def test_lower_truncation_verdicts_certify(self, lo, other):
+        t = (truncate(Gaussian(*_G), lo, np.inf), mp_from_below(mp_gaussian(*_G), lo))
+        for (d1, logsf1), (d2, logsf2) in ((t, _LOWER_OTHERS[other]), (_LOWER_OTHERS[other], t)):
+            v = compare(d1, d2)
+            assert v.decided_by == "TailAsymptotics" and v.preferred_index is not None
+            c = tail_threshold(d1, d2, v)
+            assert _certifies(c.x0, c.grid, v.preferred_index, logsf1, logsf2) is None
+
+    @pytest.mark.parametrize("name", [n for n in POOL if n != "gaussian_10_2"])
+    def test_full_window_takes_the_gaussian_verdicts(self, name):
+        gaussian, logsf = POOL["gaussian_10_2"]
+        full = truncate(gaussian, -np.inf, np.inf)
+        d, logsf_d = POOL[name]
+        for pair, same, logsfs in (
+            ((full, d), (gaussian, d), (logsf, logsf_d)),
+            ((d, full), (d, gaussian), (logsf_d, logsf)),
+        ):
+            v = compare(*pair)
+            assert v == compare(*same)
+            if v.preferred_index is not None:
+                c = tail_threshold(*pair, v)
+                assert c.x0 == pytest.approx(tail_threshold(*same, v).x0, rel=1e-9)
+                assert _certifies(c.x0, c.grid, v.preferred_index, *logsfs) is None
+
+    def test_full_window_against_gamma_ex3(self):
+        full = truncate(Gaussian(*_G), -np.inf, np.inf)
+        gamma = POOL["gamma_ex3"][0]
+        v = compare(full, gamma)
+        assert (v.relation, v.decided_by) == (Relation.FIRST_STRICT, "TailAsymptotics")
+        assert tail_threshold(full, gamma, v).x0 == pytest.approx(189.9, abs=0.05)
