@@ -701,14 +701,19 @@ def _moment_window(d, k):
     lo = float(d.ppf(1e-18))
     hi = float(d.isf(1e-18))
     step = max(1.0, 0.05 * (hi - lo))
+    hi = _moment_bound(d, k, hi, step, +1)
+    if lo < 0:
+        lo = _moment_bound(d, k, lo, step, -1)
+    return lo, hi
+
+
+def _moment_bound(d, k, start, step, direction):
+    """Follow the x^k-weighted density of d from start until it is negligible."""
 
     def logw(x):
         return k * np.log(max(abs(x), 1e-300)) + float(d.logpdf(x))
 
-    hi = expand_bound(logw, hi, step, +1)
-    if lo < 0:
-        lo = expand_bound(logw, lo, step, -1)
-    return lo, hi
+    return expand_bound(logw, start, step, direction)
 
 
 def Gumbel(a, b):
@@ -739,7 +744,12 @@ class TruncatedDistribution(LossDistribution):
         if not base.has_density:
             raise NoDensity("truncation requires a base with a density")
         eff = window.intersect(base.support)
-        mass = float(base.cdf(eff.upper) - base.cdf(eff.lower))
+        # a difference of two base tails errs by eps times the larger one, so
+        # the window is measured in survivals above the median, cdfs below it
+        lo_sf, hi_cdf = float(base.sf(eff.lower)), float(base.cdf(eff.upper))
+        self._tail = base.sf if lo_sf <= hi_cdf else base.cdf
+        self._ends = (float(self._tail(eff.lower)), float(self._tail(eff.upper)))
+        mass = abs(self._ends[1] - self._ends[0])
         if mass <= 1e-300:
             raise EmptyTruncation(
                 f"window [{window.lower}, {window.upper}] carries no mass"
@@ -769,17 +779,17 @@ class TruncatedDistribution(LossDistribution):
             inside, self.base.logpdf(x) - np.log(self._mass), -np.inf
         )[()]
 
-    def _clipped(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.window.lower, self.window.upper)
+    def _share(self, x, end):
+        """Window mass between x and the lower (end 0) or upper (end 1) end."""
+        x = np.clip(np.asarray(x, dtype=float), self.window.lower, self.window.upper)
+        part = np.abs(self._tail(x) - self._ends[end]) / self._mass
+        return np.clip(part, 0.0, 1.0)[()]
 
     def cdf(self, x):
-        lo_cdf = self.base.cdf(self.window.lower)
-        return np.clip((self.base.cdf(self._clipped(x)) - lo_cdf) / self._mass, 0.0, 1.0)[()]
+        return self._share(x, 0)
 
     def sf(self, x):
-        # a difference of base survivals keeps its relative precision far out
-        hi_sf = self.base.sf(self.window.upper)
-        return np.clip((self.base.sf(self._clipped(x)) - hi_sf) / self._mass, 0.0, 1.0)[()]
+        return self._share(x, 1)
 
     def derivative(self, x, k):
         return self.base.derivative(x, k) / self._mass
@@ -807,11 +817,7 @@ class TruncatedDistribution(LossDistribution):
     def _log_moment(self, k):
         lo, hi = self.window.lower, self.window.upper
         if not np.isfinite(lo):
-            # the x^k-weighted density, followed down from the upper end
-            def logw(x):
-                return k * np.log(max(abs(x), 1e-300)) + float(self.logpdf(x))
-
-            lo = expand_bound(logw, hi, 1.0, -1)
+            lo = _moment_bound(self, k, hi, 1.0, -1)
         return signed_log_moment(self.logpdf, lo, hi, k)
 
 

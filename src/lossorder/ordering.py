@@ -10,7 +10,8 @@ with the moment criterion where their domains overlap.
 
 Two unbounded tails are ordered by their tail keys, the leading terms of
 -log sf(x) as x -> inf: the lighter tail has the eventually smaller
-moments (the density-ratio lemma), and keys that agree are equivalent.
+moments (the density-ratio lemma).  Keys hold only those leading terms:
+keys that agree are equivalent if the survivals agree over the bulk too.
 Lattices have no key: two of them compare moment prefixes on a ladder of
 integer windows that end at survival quantiles.  An unbounded pair with
 neither two keys nor two lattices is refused with ``NoDensity``.
@@ -310,22 +311,28 @@ def _ladder_verdicts(pairs, k_max):
 def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     """Preference between distributions with unbounded upper tails.
 
-    Tail keys decide: the lighter tail is preferred, and keys that agree are
-    equivalent.  Two lattices, which have no key, compare their restrictions
-    to integer windows on a ladder of survival quantiles and require a
-    unanimous direction; ladder disagreement means the pair is incomparable.
-    Any other pair without two keys raises ``NoDensity``.
+    Tail keys decide: the lighter tail is preferred.  Keys that agree are
+    equivalent if the survival functions agree over the bulk too, and
+    incomparable if not.  Two lattices, which have no key, compare their
+    restrictions to integer windows on a ladder of survival quantiles and
+    require a unanimous direction; ladder disagreement means the pair is
+    incomparable.  Any other pair without two keys raises ``NoDensity``.
     """
     kf, kg = f.tail_key(), g.tail_key()
     if kf is not None and kg is not None:
         relation = _tail_relation(kf, kg)
-        if relation is None:
-            return PreferenceVerdict(
-                Relation.EQUIVALENT,
-                decided_by="TailAsymptotics",
-                caveat=f"the tail keys agree to {TAIL_KEY_TOL:g} in every term",
-            )
-        return PreferenceVerdict(relation, decided_by="TailAsymptotics")
+        if relation is not None:
+            return PreferenceVerdict(relation, decided_by="TailAsymptotics")
+        # a key holds only the leading terms of -log sf: a tie stands for
+        # equivalence only where the survivals agree over the bulk as well
+        _, _, sf, sg, viol = _search_grid(f, g)
+        differ = viol.any() or _violated(sg, sf).any()
+        return PreferenceVerdict(
+            Relation.INCOMPARABLE if differ else Relation.EQUIVALENT,
+            decided_by="TailAsymptotics",
+            caveat=f"the tail keys agree to {TAIL_KEY_TOL:g} in every term"
+            + (", but the survival functions differ" if differ else ""),
+        )
     if not (kf is None and kg is None and f.is_discrete and g.is_discrete):
         lacking = " and ".join(
             f"the {side} ({type(d).__name__})"
@@ -487,14 +494,13 @@ def _log_violated(lp, lo):
         return lp - lo > _LOG_SURVIVAL_REL
 
 
-def _continuous_threshold(pref, other, first, second, far=False):
-    """x0 from a linear grid over the bulk, ending at the larger isf(1e-9)
-    of two unbounded tails; with ``far``, the search goes on in log
-    survivals over a geometric grid out to ``ISF_CAP``."""
-    lowers = [d.support.lower for d in (pref, other)]
-    lo = max(1.0, min(l for l in lowers if np.isfinite(l)) if any(
-        np.isfinite(l) for l in lowers
-    ) else 1.0)
+def _search_grid(pref, other, far=False):
+    """Points, survivals and dominance violations of the x0 search: a linear
+    grid over the bulk, ending at the larger isf(1e-9) of two unbounded
+    tails; with ``far``, the search goes on in log survivals over a
+    geometric grid out to ``ISF_CAP``."""
+    lowers = [d.support.lower for d in (pref, other) if np.isfinite(d.support.lower)]
+    lo = max(1.0, min(lowers, default=1.0))
     uppers = [d.support.upper for d in (pref, other)]
     if all(np.isfinite(u) for u in uppers):
         hi = max(uppers)
@@ -513,6 +519,12 @@ def _continuous_threshold(pref, other, first, second, far=False):
         sp = np.concatenate([sp, np.asarray(pref.sf(tail), dtype=float)])
         so = np.concatenate([so, np.asarray(other.sf(tail), dtype=float)])
         viol = np.concatenate([viol, _log_violated(lsp[seen], lso[seen])])
+    return lo, xs, sp, so, viol
+
+
+def _continuous_threshold(pref, other, first, second, far=False):
+    """x0 just above the last violation on the ``_search_grid``."""
+    lo, xs, sp, so, viol = _search_grid(pref, other, far)
     if not viol.any():
         x0 = lo
         start = 0

@@ -151,6 +151,16 @@ class TestTailKeys:
         v = compare(base, Gumbel(5.0, 1.0 + 1e-14))
         assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "TailAsymptotics")
 
+    def test_tied_keys_with_different_survivals_are_incomparable(self):
+        # a KDE's key sees only its largest sample, its bandwidth and n/m, but
+        # the first estimate is stochastically smaller
+        small = KernelDensityEstimate((3.0, 10.0), 1.0)
+        full = truncate(KernelDensityEstimate((5.0, 10.0), 1.0), -np.inf, np.inf)
+        for d1, d2 in ((small, full), (full, small)):
+            v = compare(d1, d2)
+            assert (v.relation, v.decided_by) == (Relation.INCOMPARABLE, "TailAsymptotics")
+            assert "survival functions differ" in v.caveat
+
     def test_only_lower_truncations_have_keys(self):
         g = Gamma(3.0, 2.0)
         assert truncate(g, 1.0, 30.0).tail_key() is None
@@ -360,6 +370,29 @@ _LOWER_OTHERS = {
     "kde_tied_max": next((d, logsf) for name, d, logsf in CASES if name == "kde_tied_max"),
     "gaussian_10_2": POOL["gaussian_10_2"],
 }
+
+
+class TestTruncatedTails:
+    """Each window is measured in the base tail it lies in."""
+
+    def test_window_below_the_median(self):
+        t = truncate(Gaussian(20.0, 2.0), 1.0, 3.0)
+        assert t.sf(1.0) == 1.0 and t.cdf(3.0) == 1.0
+        with mpmath.workdps(40):
+            # base cdfs from the survivals of the mirrored Gaussian
+            cdf = [mpmath.exp(mp_gaussian(-20.0, 2.0)(-x)) for x in (1.0, 2.0, 3.0)]
+            want = float((cdf[2] - cdf[1]) / (cdf[2] - cdf[0]))
+        assert t.sf(2.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_window_far_above_the_median(self):
+        t = truncate(Gaussian(*_G), 30.0, np.inf)
+        with mpmath.workdps(40):
+            mass = float(mpmath.exp(mp_gaussian(*_G)(30.0)))
+            want = float(mpmath.exp(mp_from_below(mp_gaussian(*_G), 30.0)(31.0)))
+        assert t.renormalization == pytest.approx(mass, rel=1e-12, abs=0)
+        assert (t.cdf(30.0), t.sf(30.0), t.cdf(np.inf)) == (0.0, 1.0, 1.0)
+        assert t.sf(31.0) == pytest.approx(want, rel=1e-12, abs=0)
+        assert t.cdf(31.0) == pytest.approx(1.0 - want, rel=1e-12, abs=0)
 
 
 class TestOpenAboveTruncations:
