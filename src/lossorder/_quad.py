@@ -1,17 +1,18 @@
-"""Log-domain quadrature for the moments without an exact form: Gumbel, truncations.
+"""Log-domain quadrature for the moments without an exact form.
 
 Moments E[X^k] overflow ordinary floating point long before k reaches the
 prefix lengths used by the ordering engine, so every integral here is carried
-as log of a sum of positive terms.  Composite Gauss-Legendre panels are
-refined by doubling until the log-integral stabilises, with a hard cap on the
-number of panels.  The bisection that inverts survival functions and
-refines tail thresholds lives here too.
+as log of a sum of positive terms, for all orders on one set of nodes.
+Composite Gauss-Legendre panels are refined by doubling until the
+log-integral stabilises, with a hard cap on the number of panels.
+``expand_bound`` sizes a window open at one end; splitting a window at 0 and
+recombining the signed sides is left to the caller
+(``distributions._integrated_log_moments``).  The bisection that inverts
+survival functions and refines tail thresholds lives here too.
 """
 
 import numpy as np
 from scipy.special import logsumexp
-
-from .errors import MomentsUndefined
 
 _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -60,38 +61,6 @@ def log_power_integral(logf, edges, ks):
         refined[0::2] = edges
         refined[1::2] = 0.5 * (edges[:-1] + edges[1:])
         edges = refined
-
-
-def signed_log_moment(logf, lo, hi, k):
-    """log E[X^k] on a window that may dip below zero.
-
-    The positive and negative parts are integrated separately in log-domain
-    and recombined with the sign of x^k.  Raises MomentsUndefined when the
-    signed sum is not positive (the log-domain contract cannot hold then).
-    """
-    pos = -np.inf
-    neg = -np.inf
-    if hi > 0:
-        a = max(lo, 1e-300)
-        edges = np.linspace(a, hi, 65)
-        pos = float(log_power_integral(logf, edges, [k])[0])
-    if lo < 0:
-        b = min(hi, -1e-300)
-        edges = np.linspace(-b, -lo, 65)
-        neg = float(log_power_integral(lambda t: logf(-t), edges, [k])[0])
-    if neg == -np.inf:
-        result = pos
-    elif k % 2 == 0:
-        result = np.logaddexp(pos, neg)
-    elif pos > neg:
-        result = pos + np.log1p(-np.exp(neg - pos))
-    else:
-        raise MomentsUndefined(
-            f"moment of order {k} is not positive on this support"
-        )
-    if not np.isfinite(result):
-        raise MomentsUndefined(f"moment of order {k} could not be computed")
-    return result
 
 
 def expand_bound(logweight, start, step, direction):

@@ -147,11 +147,10 @@ def cmd_compare(args):
         except ThresholdNotFound as exc:
             report["x0"], report["x0_error"], error = None, str(exc), exc
     if args.moments:
-        ks = list(range(1, args.moments + 1))
         report["moments"] = {
-            "k": ks,
-            "first": [float(np.exp(d1.log_moment(k))) for k in ks],
-            "second": [float(np.exp(d2.log_moment(k))) for k in ks],
+            "k": list(range(1, args.moments + 1)),
+            "first": _moment_values(d1, args.moments),
+            "second": _moment_values(d2, args.moments),
         }
     if args.plot_data:
         report["plot_data"] = _plot_data(d1, d2)
@@ -289,7 +288,7 @@ def _rel_ok(value, target, rel):
 
 
 def _moment_values(d, n):
-    return [float(np.exp(d.log_moment(k))) for k in range(1, n + 1)]
+    return np.exp(d.log_moments(range(1, n + 1))).tolist()
 
 
 def _reproduce_checks():

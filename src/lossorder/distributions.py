@@ -8,9 +8,9 @@ lattice distributions with unbounded support.  All objects are immutable.
 
 A representation subclasses ``LossDistribution`` and implements ``support``,
 ``pdf`` (raising ``NoDensity`` if it has none), ``cdf`` (``sf`` defaults to
-1 - cdf) and the moments log E[X^k], as ``_log_moment(k)`` or as
-``log_moments(ks)`` for several orders at once (each defaults to the other).
-Where it knows better than the generic forms, it overrides:
+1 - cdf) and ``log_moments(ks)``, the moments log E[X^k] for all orders in
+``ks`` at once (``log_moment(k)`` is its checked one-order view).  Where it
+knows better than the generic forms, it overrides:
 
 - ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
   k = 0, ``DerivativeUnavailable`` above);
@@ -30,6 +30,9 @@ The Gumbel family follows the minimum-extreme-value parametrisation
 f(x|a,b) = (1/b) exp((x-a)/b - exp((x-a)/b)), i.e. scipy's ``gumbel_l``.
 Every family is evaluated from closed forms in ``scipy.special``; the
 Gaussian is a one-component case of the kernel estimate's Gaussian mixture.
+
+The densities without closed-form moments (the Gumbel, truncations and
+piecewise polynomials) share one integrator, ``_integrated_log_moments``.
 """
 
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ from scipy.special import (
     xlogy,
 )
 
-from ._quad import bisect, expand_bound, log_power_integral, signed_log_moment
+from ._quad import bisect, expand_bound, log_power_integral
 from .errors import (
     DerivativeUnavailable,
     EmptyTruncation,
@@ -174,15 +177,11 @@ class LossDistribution:
     def log_moment(self, k):
         """log E[X^k] for integer k >= 1."""
         _check_order(k)
-        return self._log_moment(int(k))
-
-    def _log_moment(self, k):
-        """log E[X^k] for one checked order; override this or ``log_moments``."""
-        return float(self.log_moments([k])[0])
+        return float(self.log_moments([int(k)])[0])
 
     def log_moments(self, ks):
         """log E[X^k] for each order in ``ks``, as an array."""
-        return np.array([self.log_moment(int(k)) for k in ks])
+        raise NotImplementedError(f"{type(self).__name__} has no log_moments")
 
     def derivative(self, x, k):
         """k-th derivative of the density at x."""
@@ -191,13 +190,17 @@ class LossDistribution:
         raise DerivativeUnavailable(f"no derivative rule for {type(self).__name__}")
 
     def isf(self, q):
-        """Inverse survival function, by bisection on ``sf`` over the support
-        (from [1, 2], doubled up to ``ISF_CAP``, when the support is unbounded)."""
+        """Inverse survival function, by bisection on ``sf`` over the support;
+        unbounded ends are bracketed by doubling, out to ``ISF_CAP``."""
         lo, hi = self.support.lower, self.support.upper
         if not np.isfinite(hi):
             lo, hi = 1.0, 2.0
             while self.sf(hi) > q and hi < ISF_CAP:
                 lo, hi = hi, hi * 2
+        if self.support.lower == -np.inf:
+            lo, step = max(lo, hi - 1.0), 1.0
+            while self.sf(lo) <= q and step < ISF_CAP:
+                lo, hi, step = lo - step, lo, 2 * step
         lo, hi = bisect(lambda x: self.sf(x) > q, lo, hi, 200)
         return 0.5 * (lo + hi)
 
@@ -408,11 +411,8 @@ class PiecewisePolyDensity(LossDistribution):
         idx = int(self._segment_index(np.asarray([x]))[0])
         return float(self._polys[idx].deriv(k)(x)) if k <= self._polys[idx].degree() else 0.0
 
-    def _log_moment(self, k):
-        lo, hi = self._breaks[0], self._breaks[-1]
-        if lo <= 0:
-            return signed_log_moment(self.logpdf, lo, hi, k)
-        return float(log_power_integral(self.logpdf, self._breaks, [k])[0])
+    def log_moments(self, ks):
+        return _integrated_log_moments(self, ks, self._breaks)
 
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -524,8 +524,8 @@ class _Family(NamedTuple):
 
     Shaped families take a = shape, loc = 0 and live on [0, inf); the others
     take a = loc and live on the real line.  ``tail_key(a, b)`` is the
-    ``TailKey`` of -log sf, and ``log_moment(k, a, b)`` the exact log E[X^k],
-    or None where the moments need quadrature.
+    ``TailKey`` of -log sf, and ``log_moments(ks, a, b)`` the exact log E[X^k]
+    for an array of orders, or None where the moments need quadrature.
     """
 
     shaped: bool
@@ -537,7 +537,7 @@ class _Family(NamedTuple):
     ppf: Callable
     isf: Callable
     tail_key: Callable
-    log_moment: Callable | None = None
+    log_moments: Callable | None = None
 
 
 #: family name -> closed forms; the formulas are scipy's gumbel_l, gamma,
@@ -567,7 +567,7 @@ FAMILIES = {
         tail_key=lambda a, b: TailKey(
             power=1.0, coef=1.0 / b, log_x=1.0 - a, const=(a - 1.0) * np.log(b) + gammaln(a)
         ),
-        log_moment=lambda k, a, b: k * np.log(b) + gammaln(a + k) - gammaln(a),
+        log_moments=lambda ks, a, b: ks * np.log(b) + gammaln(a + ks) - gammaln(a),
     ),
     "weibull": _Family(
         shaped=True,
@@ -579,7 +579,7 @@ FAMILIES = {
         ppf=lambda q, c: np.power(-log1p(-q), 1.0 / c),
         isf=lambda q, c: np.power(-np.log(q), 1 / c),
         tail_key=lambda a, b: TailKey(power=a, coef=b**-a),
-        log_moment=lambda k, a, b: k * np.log(b) + gammaln(1.0 + k / a),
+        log_moments=lambda ks, a, b: ks * np.log(b) + gammaln(1.0 + ks / a),
     ),
     "gaussian": _Family(
         shaped=False,
@@ -591,7 +591,7 @@ FAMILIES = {
         ppf=lambda q, c: ndtri(q),
         isf=lambda q, c: -ndtri(q),
         tail_key=gaussian_tail_key,
-        log_moment=lambda k, a, b: gaussian_mixture_log_moments([a], b, [k])[0],
+        log_moments=lambda ks, a, b: gaussian_mixture_log_moments([a], b, ks),
     ),
 }
 
@@ -689,31 +689,60 @@ class ParametricDistribution(LossDistribution):
             return super().derivative(x, k)
         return gaussian_mixture_derivative([self.a], self.b, x, k)
 
-    def _log_moment(self, k):
-        if self._forms.log_moment is not None:
-            return self._forms.log_moment(k, self.a, self.b)
-        lo, hi = _moment_window(self, k)
-        return signed_log_moment(self.logpdf, lo, hi, k)
+    def log_moments(self, ks):
+        if self._forms.log_moments is None:
+            return _integrated_log_moments(self, ks)
+        return self._forms.log_moments(np.asarray(ks), self.a, self.b)
 
 
-def _moment_window(d, k):
-    """Integration window wide enough for the x^k-weighted density of d."""
-    lo = float(d.ppf(1e-18))
-    hi = float(d.isf(1e-18))
-    step = max(1.0, 0.05 * (hi - lo))
-    hi = _moment_bound(d, k, hi, step, +1)
-    if lo < 0:
-        lo = _moment_bound(d, k, lo, step, -1)
-    return lo, hi
+def _integrated_log_moments(d, ks, breaks=()):
+    """log E[X^k] of the density of d for every order in ``ks``, by quadrature.
 
-
-def _moment_bound(d, k, start, step, direction):
-    """Follow the x^k-weighted density of d from start until it is negligible."""
+    Each infinite end of the support is pushed out until the x^max(k)-weighted
+    density is negligible, starting from the median when both ends are
+    infinite and from the finite end otherwise (but at least 1 away from 0,
+    where x^k vanishes).  The window is split at 0, each side is integrated
+    for all orders at once, on panels that also break at the ``breaks``, and
+    the sides are recombined with the sign of x^k.  An order whose moment is
+    not positive raises ``MomentsUndefined``.
+    """
+    ks = np.asarray(ks)
+    top = int(np.max(ks, initial=1))
 
     def logw(x):
-        return k * np.log(max(abs(x), 1e-300)) + float(d.logpdf(x))
+        return top * np.log(max(abs(x), 1e-300)) + float(d.logpdf(x))
 
-    return expand_bound(logw, start, step, direction)
+    lo, hi = d.support.lower, d.support.upper
+    mid = float(d.isf(0.5)) if lo == -np.inf and hi == np.inf else None
+    if hi == np.inf:
+        hi = expand_bound(logw, max(lo if mid is None else mid, 1.0), 1.0, +1)
+    if lo == -np.inf:
+        lo = expand_bound(logw, min(hi if mid is None else mid, -1.0), 1.0, -1)
+    breaks = np.asarray(breaks, dtype=float)
+
+    def side(logf, a, b, inner):
+        if b <= 0:
+            return np.full(len(ks), -np.inf)
+        a = max(a, 1e-300)
+        edges = np.union1d(np.linspace(a, b, 65), inner[(inner > a) & (inner < b)])
+        return log_power_integral(logf, edges, ks)
+
+    pos = side(d.logpdf, lo, hi, breaks)
+    neg = side(lambda t: d.logpdf(-t), -hi, -lo, -breaks)
+    out = []
+    for k, p, n in zip(ks, pos, neg):
+        if n == -np.inf:
+            value = p
+        elif k % 2 == 0:
+            value = np.logaddexp(p, n)
+        elif p > n:
+            value = p + np.log1p(-np.exp(n - p))
+        else:
+            raise MomentsUndefined(f"moment of order {k} is not positive on this support")
+        if not np.isfinite(value):
+            raise MomentsUndefined(f"moment of order {k} could not be computed")
+        out.append(value)
+    return np.array(out)
 
 
 def Gumbel(a, b):
@@ -809,16 +838,7 @@ class TruncatedDistribution(LossDistribution):
         return key.plus(np.log(self._mass))
 
     def log_moments(self, ks):
-        if self.window.lower <= 0:
-            return super().log_moments(ks)
-        edges = np.linspace(self.window.lower, self.window.upper, 129)
-        return log_power_integral(self.logpdf, edges, ks)
-
-    def _log_moment(self, k):
-        lo, hi = self.window.lower, self.window.upper
-        if not np.isfinite(lo):
-            lo = _moment_bound(self, k, hi, 1.0, -1)
-        return signed_log_moment(self.logpdf, lo, hi, k)
+        return _integrated_log_moments(self, ks)
 
 
 @dataclass(frozen=True)
@@ -907,16 +927,22 @@ class LatticeDistribution(LossDistribution):
             probs=tuple(probs[i] for i in order),
         )
 
-    def _log_moment(self, k):
-        terms = []
-        best = -np.inf
+    def log_moments(self, ks):
+        """The series sum_j pmf(j) j^k of every order, each cut where its
+        terms have fallen far below their peak."""
+        ks = np.asarray(ks)
+        rows, best = [], np.full(len(ks), -np.inf)
+        ends = np.zeros(len(ks), dtype=int)  # terms in each finished series
         for j in range(max(self.lower, 1), self._CAP):
-            t = self._log_pmf(j) + k * np.log(j)
-            terms.append(t)
-            best = max(best, t)
-            if t < best - 60 and j > 10 * (k + 1):
+            t = self._log_pmf(j) + ks * np.log(j)
+            rows.append(t)
+            best = np.maximum(best, t)
+            ends[(ends == 0) & (t < best - 60) & (j > 10 * (ks + 1))] = len(rows)
+            if ends.all():
                 break
-        return float(logsumexp(terms))
+        ends[ends == 0] = len(rows)
+        terms = np.array(rows).T
+        return np.array([logsumexp(row[:n]) for row, n in zip(terms, ends)])
 
 
 def truncate(d, a, b):

@@ -367,12 +367,18 @@ def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     return PreferenceVerdict(strict.pop(), decided_by="TruncationLadder")
 
 
+def _pooled_shift(k1, k2):
+    """The shift that puts the pooled sample minimum of two KDEs at 1."""
+    return 1.0 - min(min(k1.samples), min(k2.samples))
+
+
 def compare_kdes(k1, k2):
     """Preference between two KDEs following the effective-bound rule.
 
     If the effective upper bounds differ, the estimate whose mass ends lower
-    is preferred outright.  Otherwise both are truncated at the common bound
-    and the derivative-lexicographic comparison decides.
+    is preferred outright.  Otherwise both are shifted so that the pooled
+    sample minimum sits at 1, truncated to [1, common bound], and the
+    derivative-lexicographic comparison decides.
     """
     e1 = k1.effective_upper_bound()
     e2 = k2.effective_upper_bound()
@@ -380,7 +386,9 @@ def compare_kdes(k1, k2):
     if abs(e1 - e2) > 1e-9 * scale:
         relation = Relation.FIRST_STRICT if e1 < e2 else Relation.SECOND_STRICT
         return PreferenceVerdict(relation, decided_by="EffectiveBound")
-    return compare_smooth(truncate(k1, 1.0, e1), truncate(k2, 1.0, e1))
+    shift = _pooled_shift(k1, k2)
+    t1, t2 = (truncate(k.shifted(shift), 1.0, e1 + shift) for k in (k1, k2))
+    return compare_smooth(t1, t2)
 
 
 def _check_admissible(d):
@@ -438,31 +446,33 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     )
 
 
-def _categorical_threshold(pref, other, first, second):
+def _survivals(pref, other, xs):
+    """Survival functions of both sides at the points xs, one call each."""
+    return np.asarray(pref.sf(xs), dtype=float), np.asarray(other.sf(xs), dtype=float)
+
+
+def _certificate(x0, xs, sp, so, pref, first):
+    """``TailThreshold`` at x0 whose rows (x, sf_first(x), sf_second(x)) come
+    from the survivals at xs of the preferred side, sp, and of the other, so."""
+    s1, s2 = (sp, so) if pref is first else (so, sp)
+    return TailThreshold(x0, tuple(zip(xs.tolist(), s1.tolist(), s2.tolist())))
+
+
+def _categorical_threshold(pref, other, first):
     ranks = np.asarray(pref.ranks)[::-1]  # ascending severity
     labels = list(pref.labels)[::-1]
-    sp = np.array([pref.sf(r) for r in ranks])
-    so = np.array([other.sf(r) for r in ranks])
-    n = len(ranks)
-    for i in range(n):
+    sp, so = _survivals(pref, other, ranks)
+    for i in range(len(ranks)):
         if sp[i] < so[i] - PMF_TOL and np.all(sp[i:] <= so[i:] + SURVIVAL_TOL):
-            grid = tuple(
-                (float(ranks[j]), float(first.sf(ranks[j])), float(second.sf(ranks[j])))
-                for j in range(i, n)
-            )
-            return TailThreshold(labels[i], grid)
+            return _certificate(labels[i], ranks[i:], sp[i:], so[i:], pref, first)
     if np.all(sp <= so + SURVIVAL_TOL):
-        grid = tuple(
-            (float(r), float(first.sf(r)), float(second.sf(r))) for r in ranks
-        )
-        return TailThreshold(labels[0], grid)
+        return _certificate(labels[0], ranks, sp, so, pref, first)
     raise ThresholdNotFound("survival dominance never holds on the category scale")
 
 
-def _discrete_threshold(pref, other, first, second):
+def _discrete_threshold(pref, other, first):
     values = np.union1d(pref.descending_pmf()[0], other.descending_pmf()[0])  # ascending
-    sp = np.array([pref.sf(v) for v in values])
-    so = np.array([other.sf(v) for v in values])
+    sp, so = _survivals(pref, other, values)
     viol = sp > so + SURVIVAL_TOL
     if viol.any():
         last = int(np.max(np.nonzero(viol)))
@@ -475,11 +485,7 @@ def _discrete_threshold(pref, other, first, second):
     else:
         start = 0
         x0 = float(values[0])
-    grid = tuple(
-        (float(v), float(first.sf(v)), float(second.sf(v)))
-        for v in values[start:]
-    )
-    return TailThreshold(x0, grid)
+    return _certificate(x0, values[start:], sp[start:], so[start:], pref, first)
 
 
 def _violated(sp, so):
@@ -507,22 +513,22 @@ def _search_grid(pref, other, far=False):
     else:
         hi = max(_isf(pref, 1e-9), _isf(other, 1e-9))
     xs = np.linspace(lo, hi, GRID_SIZE)
-    sp = np.asarray(pref.sf(xs), dtype=float)
-    so = np.asarray(other.sf(xs), dtype=float)
+    sp, so = _survivals(pref, other, xs)
     viol = _violated(sp, so)
     if far and hi < ISF_CAP:
         tail = np.geomspace(hi, ISF_CAP, FAR_GRID_SIZE)[1:]
         lsp, lso = pref.logsf(tail), other.logsf(tail)
         seen = (lsp > -np.inf) | (lso > -np.inf)
         tail = tail[seen]
+        tsp, tso = _survivals(pref, other, tail)
         xs = np.concatenate([xs, tail])
-        sp = np.concatenate([sp, np.asarray(pref.sf(tail), dtype=float)])
-        so = np.concatenate([so, np.asarray(other.sf(tail), dtype=float)])
+        sp = np.concatenate([sp, tsp])
+        so = np.concatenate([so, tso])
         viol = np.concatenate([viol, _log_violated(lsp[seen], lso[seen])])
     return lo, xs, sp, so, viol
 
 
-def _continuous_threshold(pref, other, first, second, far=False):
+def _continuous_threshold(pref, other, first, far=False):
     """x0 just above the last violation on the ``_search_grid``."""
     lo, xs, sp, so, viol = _search_grid(pref, other, far)
     if not viol.any():
@@ -546,14 +552,12 @@ def _continuous_threshold(pref, other, first, second, far=False):
         start = last + 1
     # certificate rows reuse the search pass: only x0 is a new point
     points = np.concatenate([[x0], xs[start:]])
-    sp = np.concatenate([np.asarray(pref.sf(points[:1]), dtype=float), sp[start:]])
-    so = np.concatenate([np.asarray(other.sf(points[:1]), dtype=float), so[start:]])
-    s1 = sp if pref is first else so
-    s2 = so if pref is first else sp
+    sp0, so0 = _survivals(pref, other, points[:1])
+    sp = np.concatenate([sp0, sp[start:]])
+    so = np.concatenate([so0, so[start:]])
     if np.any(_violated(sp, so)):
         raise ThresholdNotFound("verification grid rejects the candidate threshold")
-    grid = tuple(zip(points.tolist(), s1.tolist(), s2.tolist()))
-    return TailThreshold(float(x0), grid)
+    return _certificate(float(x0), points, sp, so, pref, first)
 
 
 def tail_threshold(d1, d2, verdict):
@@ -572,28 +576,26 @@ def tail_threshold(d1, d2, verdict):
         # normalise the loss scale so the pooled sample minimum sits at 1;
         # survival dominance is shift-equivariant, the threshold is reported
         # on the normalised scale
-        shift = 1.0 - min(min(d1.samples), min(d2.samples))
+        shift = _pooled_shift(d1, d2)
         d1s, d2s = d1.shifted(shift), d2.shifted(shift)
         prefs = d1s if pref is d1 else d2s
         others = d2s if pref is d1 else d1s
-        return _continuous_threshold(prefs, others, d1s, d2s)
+        return _continuous_threshold(prefs, others, d1s)
     if verdict.decided_by == "SupportBound":
         hi = other.support.upper
         if not np.isfinite(hi):
             hi = max(pref.support.upper, _isf(other, 1e-9))
         # a bound at or beyond the other's isf(1e-9) leaves one distinct row
         xs = np.unique(np.linspace(pref.support.upper, hi, 64))
-        grid = tuple(
-            (float(x), float(d1.sf(x)), float(d2.sf(x))) for x in xs
-        )
-        return TailThreshold(float(pref.support.upper), grid)
+        sp, so = _survivals(pref, other, xs)
+        return _certificate(float(pref.support.upper), xs, sp, so, pref, d1)
     if isinstance(pref, CategoricalDistribution) and isinstance(
         other, CategoricalDistribution
     ):
-        return _categorical_threshold(pref, other, d1, d2)
+        return _categorical_threshold(pref, other, d1)
     if pref.is_discrete and other.is_discrete and (
         pref.support.is_compact and other.support.is_compact
     ):
-        return _discrete_threshold(pref, other, d1, d2)
+        return _discrete_threshold(pref, other, d1)
     far = verdict.decided_by == "TailAsymptotics"
-    return _continuous_threshold(pref, other, d1, d2, far)
+    return _continuous_threshold(pref, other, d1, far)

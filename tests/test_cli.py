@@ -8,6 +8,7 @@ import pytest
 
 import lossorder
 from lossorder import cli
+from lossorder.distributions import ParametricDistribution
 from lossorder.errors import ThresholdNotFound
 from lossorder.fixtures import _read
 
@@ -51,6 +52,19 @@ class TestCompare:
             assert abs(got - want) <= 1e-3 * want
         for got, want in zip(second, (31, 966, 30243.3, 950906, 3.00162e7)):
             assert abs(got - want) <= 1e-3 * want
+
+    def test_moments_take_one_call_per_side(self, capsys, monkeypatch):
+        calls = []
+        log_moments = ParametricDistribution.log_moments
+
+        def counted(self, ks):
+            calls.append(list(ks))
+            return log_moments(self, ks)
+
+        monkeypatch.setattr(ParametricDistribution, "log_moments", counted)
+        code, out, _ = run(capsys, "compare", "gamma:3,2", "weibull:1.5,20", "--moments", "4")
+        assert calls == [[1, 2, 3, 4]] * 2
+        assert len(json.loads(out)["moments"]["second"]) == 4
 
     def test_self_comparison_exit_two(self, capsys):
         code, out, _ = run(capsys, "compare", "gamma:2,1", "gamma:2,1")

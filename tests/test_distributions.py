@@ -12,6 +12,7 @@ from lossorder.distributions import (
     Gumbel,
     HistogramDistribution,
     LatticeDistribution,
+    LossDistribution,
     PiecewisePolyDensity,
     PointMass,
     SupportInterval,
@@ -92,6 +93,16 @@ class TestCategorical:
             self.make().log_moment(1.5)
 
 
+def test_representation_without_moments_raises_not_implemented():
+    class Bare(LossDistribution):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().log_moment(1)
+    with pytest.raises(NotImplementedError):
+        Bare().log_moments([1, 2])
+
+
 class TestHistogram:
     def test_normalization_and_cdf(self):
         h = HistogramDistribution((1.0, 2.0, 5.0), (10, 30, 60))
@@ -122,6 +133,17 @@ class TestPiecewisePoly:
         for k in (1, 2, 5):
             exact = (3.0 ** (k + 1) - 1.0) / ((k + 1) * 2.0)
             assert np.exp(u.log_moment(k)) == pytest.approx(exact, rel=1e-9)
+
+    def test_step_across_zero(self):
+        # density 0.1 on [-0.5, 0.5] and 0.36 on [0.5, 3]: the panels on the
+        # positive side must break at 0.5 as well as at 0
+        d = PiecewisePolyDensity([-0.5, 0.5, 3.0], [[0.1], [0.36]])
+        for k in (1, 2, 7):
+            exact = (
+                Fraction(1, 10) * (Fraction(1, 2) ** (k + 1) - Fraction(-1, 2) ** (k + 1))
+                + Fraction(9, 25) * (3 ** (k + 1) - Fraction(1, 2) ** (k + 1))
+            ) / (k + 1)
+            assert np.exp(d.log_moment(k)) == pytest.approx(float(exact), rel=1e-12)
 
     def test_triangular(self):
         # density (x-1)/2 on [1, 3]
@@ -359,6 +381,47 @@ class TestTruncated:
         for order in (1, 2, 6):
             open_left = truncate(k, -np.inf, 20.0).log_moment(order)
             assert open_left == pytest.approx(truncate(k, -50.0, 20.0).log_moment(order), abs=1e-9)
+
+    OPEN_ABOVE = {
+        "gaussian [1, inf)": (Gaussian(10.0, 2.0), 1.0),
+        "gaussian (-inf, inf)": (Gaussian(10.0, 2.0), -np.inf),
+        "gumbel [1, inf)": (Gumbel(6.27294, 2.20532), 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPEN_ABOVE))
+    def test_open_above_window_moments_match_mpmath(self, name):
+        import mpmath
+
+        base, lo = self.OPEN_ABOVE[name]
+        got = truncate(base, lo, np.inf).log_moments(range(1, 65))
+        assert np.all(np.isfinite(got))
+        a, b = mpmath.mpf(base.a), mpmath.mpf(base.b)
+        if base.family == "gaussian":
+            def pdf(x):
+                return mpmath.npdf(x, a, b)
+        else:
+            def pdf(x):
+                z = (x - a) / b
+                return mpmath.exp(z - mpmath.exp(z)) / b
+        with mpmath.workdps(40):
+            # beyond 40 scales the x^32-weighted density is below 1e-300
+            nodes = [max(mpmath.mpf(lo), a - 40 * b), a, a + 10 * b, a + 40 * b]
+            mass = mpmath.quad(pdf, nodes)
+            for k in (1, 2, 8, 32):
+                want = mpmath.log(mpmath.quad(lambda x: x**k * pdf(x), nodes) / mass)
+                assert abs(got[k - 1] - float(want)) <= 1e-9, k
+
+    def test_full_window_moments_are_the_base_closed_form(self):
+        base = Gaussian(10.0, 2.0)
+        ks = range(1, 65)
+        got = truncate(base, -np.inf, np.inf).log_moments(ks)
+        np.testing.assert_allclose(got, base.log_moments(ks), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("q", [0.5, 0.1, 1e-3])
+    def test_open_left_window_isf_is_the_base_isf(self, q):
+        # the window cuts off a base survival of about exp(-510) above 20
+        base = Gumbel(6.27294, 2.20532)
+        assert truncate(base, -np.inf, 20.0).isf(q) == pytest.approx(base.isf(q), rel=1e-12)
 
     def test_empty_window(self):
         with pytest.raises(EmptyTruncation):

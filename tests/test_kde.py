@@ -146,6 +146,13 @@ class TestCompare:
         v2 = compare_kdes(fit([10 * x for x in a]), fit([10 * x for x in b]))
         assert v1.relation is v2.relation
 
+    @pytest.mark.parametrize("samples", [[-5.0, -4.0, -3.0], [0.2, 0.5, 0.7]])
+    def test_equal_bounds_at_or_below_one(self, samples):
+        # the common bound is below 1, so the window is taken after the shift
+        # that puts the pooled sample minimum at 1
+        assert fit(samples).effective_upper_bound() <= 1.0
+        assert compare(fit(samples), fit(samples)).relation is Relation.EQUIVALENT
+
     def test_equal_bounds_decided_by_derivatives(self):
         # same max and same bandwidth, different shape below the bound
         k1 = KernelDensityEstimate((2.0, 3.0, 6.0), 0.5)

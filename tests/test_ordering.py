@@ -288,6 +288,24 @@ class TestTailThreshold:
         assert np.array_equal([s for _, s, _ in t.grid], d1.sf(xs))
         assert np.array_equal([s for _, _, s in t.grid], d2.sf(xs))
 
+    @pytest.mark.parametrize(
+        "pair",
+        ["categorical", "histograms", "uniforms", "histogram_uniform"],
+    )
+    def test_certificate_rows_are_pointwise_survival_values(self, pair):
+        # rows built from one array sf call per side equal sf point by point
+        ratings = fixtures.load_cvss_ratings()
+        hists = fixtures.load_outbreak_histograms()
+        d1, d2 = {
+            "categorical": (ratings["scenario1"], ratings["scenario2"]),
+            "histograms": (hists["config1"], hists["config2"]),
+            "uniforms": (PiecewisePolyDensity.uniform(1.0, 3.0), PiecewisePolyDensity.uniform(1.0, 5.0)),
+            "histogram_uniform": (hists["config1"], PiecewisePolyDensity.uniform(1.0, 30.0)),
+        }[pair]
+        for a, b in ((d1, d2), (d2, d1)):
+            t = tail_threshold(a, b, compare(a, b, common_scale=True))
+            assert t.grid == tuple((x, float(a.sf(x)), float(b.sf(x))) for x, _, _ in t.grid)
+
     def test_wrong_direction_verdict_raises(self):
         # a verdict pointing the wrong way leaves violations up to the top
         # of the evaluation window
