@@ -294,7 +294,7 @@ def _moment_values(d, n):
 def _reproduce_checks():
     checks = {}
 
-    def example(name, d1, d2, m1, m2, expect_relation, x0_lo, x0_hi, k_max=16):
+    def example(name, d1, d2, m1, m2, expect_relation, x0_lo, x0_hi):
         def run():
             got1 = _moment_values(d1, len(m1))
             got2 = _moment_values(d2, len(m2))
@@ -302,7 +302,7 @@ def _reproduce_checks():
                 for g, w in zip(got, want):
                     if not _rel_ok(g, w, 1e-3):
                         return False, f"moment {g:.6g} != {w:.6g}"
-            verdict = ordering.compare(d1, d2, k_max=k_max)
+            verdict = ordering.compare(d1, d2)
             if verdict.relation is not expect_relation:
                 return False, f"verdict {verdict.relation.value}"
             t = ordering.tail_threshold(d1, d2, verdict)

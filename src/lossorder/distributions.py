@@ -7,10 +7,10 @@ support, the smooth parametric families used by the comparison examples
 lattice distributions with unbounded support.  All objects are immutable.
 
 A representation subclasses ``LossDistribution`` and implements ``support``,
-``pdf`` (raising ``NoDensity`` if it has none), ``cdf`` (``sf`` defaults to
-1 - cdf) and ``log_moments(ks)``, the moments log E[X^k] for all orders in
-``ks`` at once (``log_moment(k)`` is its checked one-order view).  Where it
-knows better than the generic forms, it overrides:
+``pdf`` (raising ``NoDensity`` if it has none), ``sf``, the survival function
+Pr(X > x) (``cdf`` defaults to 1 - sf), and ``log_moments(ks)``, the moments
+log E[X^k] for all orders in ``ks`` at once (``log_moment(k)`` is its checked
+one-order view).  Where it knows better than the generic forms, it overrides:
 
 - ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
   k = 0, ``DerivativeUnavailable`` above);
@@ -20,8 +20,9 @@ knows better than the generic forms, it overrides:
 - ``tail_key()``: the leading terms of -log sf(x) as x -> inf, a
   ``TailKey`` (default: None, no closed form).
 
-The finite pmfs (categorical, histogram, point mass) give
-``descending_pmf()``, the lattice ``truncated(a, b)``.
+The finite pmfs (categorical, histogram, point mass) give only
+``descending_pmf()``, from which ``_FinitePmf`` derives their support,
+survival function and moments; the lattice gives ``truncated(a, b)``.
 
 Three class flags describe it to the comparison rules: ``has_density``,
 ``is_discrete`` and ``from_samples`` (a kernel estimate over raw samples).
@@ -158,12 +159,12 @@ class LossDistribution:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     def sf(self, x):
         """Survival function Pr(X > x)."""
-        return 1.0 - self.cdf(x)
+        raise NotImplementedError
+
+    def cdf(self, x):
+        return 1.0 - self.sf(x)
 
     def logsf(self, x):
         """log Pr(X > x)."""
@@ -193,10 +194,11 @@ class LossDistribution:
         """Inverse survival function, by bisection on ``sf`` over the support;
         unbounded ends are bracketed by doubling, out to ``ISF_CAP``."""
         lo, hi = self.support.lower, self.support.upper
-        if not np.isfinite(hi):
-            lo, hi = 1.0, 2.0
-            while self.sf(hi) > q and hi < ISF_CAP:
-                lo, hi = hi, hi * 2
+        if hi == np.inf:
+            lo = lo if lo > -np.inf else 1.0
+            hi, step = lo + 1.0, 1.0
+            while self.sf(hi) > q and step < ISF_CAP:
+                lo, hi, step = hi, hi + step, 2 * step
         if self.support.lower == -np.inf:
             lo, step = max(lo, hi - 1.0), 1.0
             while self.sf(lo) <= q and step < ISF_CAP:
@@ -207,14 +209,44 @@ class LossDistribution:
 
 class _FinitePmf(LossDistribution):
     """Finite pmf: ``descending_pmf()`` gives its atoms as (values, probs)
-    arrays in strictly descending severity order, and its moments are one
-    log-sum over them."""
+    arrays in strictly descending severity order.  Its support runs from the
+    last atom to the first, its survival sums the atoms from the top, and its
+    moments are one log-sum over them."""
 
     has_density = False
     is_discrete = True
 
+    @cached_property
+    def _atoms(self):
+        return self.descending_pmf()
+
+    @cached_property
+    def support(self):
+        values = self._atoms[0]
+        return SupportInterval(float(values[-1]), float(values[0]))
+
+    def pdf(self, x):
+        raise NoDensity(f"{type(self).__name__} has no density")
+
+    @cached_property
+    def _survival_table(self):
+        """The atoms ascending, then nan; and the survival above the i lowest
+        atoms: the mass of the rest, summed from the top over the total, so
+        exactly 1 at i = 0 and 0 above the last atom, then nan."""
+        values, probs = self._atoms
+        above = np.cumsum(probs)
+        return (
+            np.concatenate([values[::-1], [np.nan]]),
+            np.concatenate([above[::-1] / above[-1], [0.0, np.nan]]),
+        )
+
+    def sf(self, x):
+        # nan sorts after every number, so it finds the nan entry
+        atoms, survival = self._survival_table
+        return survival[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
+
     def log_moments(self, ks):
-        values, probs = self.descending_pmf()
+        values, probs = self._atoms
         mask = probs > 0
         if (values[mask] <= 0).any():
             raise MomentsUndefined("log-domain moments need strictly positive outcomes")
@@ -254,26 +286,11 @@ class CategoricalDistribution(_FinitePmf):
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
 
-    @property
-    def support(self):
-        return SupportInterval(self.ranks[-1], self.ranks[0])
-
-    def pdf(self, x):
-        raise NoDensity("categorical distribution has no density")
-
     def pmf(self, label):
         return self.probs[self.labels.index(label)]
 
     def descending_pmf(self):
         return np.asarray(self.ranks), np.asarray(self.probs)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        ranks = np.asarray(self.ranks)
-        probs = np.asarray(self.probs)
-        return np.where(
-            ranks[None, ...] <= np.atleast_1d(x)[..., None], probs, 0.0
-        ).sum(axis=-1).reshape(x.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -306,23 +323,8 @@ class HistogramDistribution(_FinitePmf):
         counts = np.asarray(self.counts, dtype=float)
         return tuple(counts / counts.sum())
 
-    @property
-    def support(self):
-        return SupportInterval(self.bin_values[0], self.bin_values[-1])
-
     def descending_pmf(self):
         return np.asarray(self.bin_values)[::-1], np.asarray(self.probs)[::-1]
-
-    def pdf(self, x):
-        raise NoDensity("histogram distribution has no density")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(self.bin_values)
-        probs = np.asarray(self.probs)
-        idx = np.searchsorted(values, np.atleast_1d(x), side="right")
-        cum = np.concatenate([[0.0], np.cumsum(probs)])
-        return cum[idx].reshape(x.shape)[()]
 
 
 class PiecewisePolyDensity(LossDistribution):
@@ -345,26 +347,20 @@ class PiecewisePolyDensity(LossDistribution):
         self._breaks = breakpoints
         self._polys = [np.polynomial.Polynomial(c) for c in coefficients]
         self._antiderivs = [p.integ() for p in self._polys]
-        cum = np.concatenate(
-            [[0.0], np.cumsum([
-                ad(b) - ad(a)
-                for ad, a, b in zip(self._antiderivs, breakpoints[:-1], breakpoints[1:])
-            ])]
-        )
-        self._cum = cum
+        # each antiderivative at its segment's top, and the mass above each
+        # breakpoint, summed from the top segment down
+        self._tops = [ad(b) for ad, b in zip(self._antiderivs, breakpoints[1:])]
+        masses = [t - ad(a) for t, ad, a in zip(self._tops, self._antiderivs, breakpoints[:-1])]
+        self._above = np.append(np.cumsum(masses[::-1])[::-1], 0.0)
         grid = np.linspace(breakpoints[0], breakpoints[-1], self._GRID)
         if np.min(self.pdf(grid)) < -1e-9:
             raise ValueError("density is negative on the support")
-        if abs(cum[-1] - 1.0) > 1e-9:
-            raise ValueError(f"density integrates to {cum[-1]!r}, not 1")
+        if abs(self._above[0] - 1.0) > 1e-9:
+            raise ValueError(f"density integrates to {self._above[0]!r}, not 1")
 
     @classmethod
     def uniform(cls, lo, hi):
         return cls([lo, hi], [[1.0 / (hi - lo)]])
-
-    @property
-    def breakpoints(self):
-        return self._breaks.copy()
 
     @property
     def support(self):
@@ -395,15 +391,15 @@ class PiecewisePolyDensity(LossDistribution):
         )
         return out.reshape(x.shape)[()]
 
-    def cdf(self, x):
+    def sf(self, x):
+        """The mass above x, normalised by the total: exactly 0 from the top
+        breakpoint on and exactly 1 below the bottom one."""
         x = np.asarray(x, dtype=float)
         flat = np.clip(np.atleast_1d(x), self._breaks[0], self._breaks[-1])
         out = self._by_segment(
-            flat,
-            lambda i, v: self._cum[i] + self._antiderivs[i](v)
-            - self._antiderivs[i](self._breaks[i]),
+            flat, lambda i, v: self._above[i + 1] + (self._tops[i] - self._antiderivs[i](v))
         )
-        return np.clip(out, 0.0, 1.0).reshape(x.shape)[()]
+        return np.clip(out / self._above[0], 0.0, 1.0).reshape(x.shape)[()]
 
     def derivative(self, x, k):
         """k-th one-sided derivative of the density at x (right endpoint uses
@@ -851,17 +847,6 @@ class PointMass(_FinitePmf):
         if self.value < 1.0:
             raise ValueError("point mass must sit at a loss value >= 1")
 
-    @property
-    def support(self):
-        return SupportInterval(self.value, self.value)
-
-    def pdf(self, x):
-        raise NoDensity("point mass has no density")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.value, 1.0, 0.0)[()]
-
     def descending_pmf(self):
         return np.asarray([self.value]), np.asarray([1.0])
 
@@ -872,10 +857,9 @@ class LatticeDistribution(LossDistribution):
 
     _CAP = 100_000
 
-    def __init__(self, log_pmf, lower=1, name="lattice"):
+    def __init__(self, log_pmf, lower=1):
         self._log_pmf = log_pmf
         self.lower = int(lower)
-        self.name = name
 
     has_density = False
     is_discrete = True
@@ -893,12 +877,14 @@ class LatticeDistribution(LossDistribution):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         # number of support points at or below x, capped like the scans below
-        counts = np.clip(np.floor(x) - self.lower + 1, 0, self._CAP)
-        n = int(np.nanmax(counts, initial=0))
+        counts = np.nan_to_num(np.clip(np.floor(x) - self.lower + 1, 0, self._CAP)).astype(int)
+        n = int(np.max(counts, initial=0))
         pmfs = [self.pmf(j) for j in range(self.lower, self.lower + n)]
         cum = np.minimum(1.0, np.cumsum([0.0, *pmfs]))
-        out = cum[np.nan_to_num(counts).astype(int)]
-        return np.where(np.isnan(x), np.nan, out)[()]
+        return np.where(np.isnan(x), np.nan, cum[counts])[()]
+
+    def sf(self, x):
+        return 1.0 - self.cdf(x)
 
     def quantile(self, q):
         """Smallest support point j with CDF(j) >= q."""

@@ -47,29 +47,24 @@ def load_nile(split=None):
     return parse_series(_read("nile.csv"), split=split)
 
 
-def poisson_like_pair(lam=1.0):
+def poisson_like_pair():
     """A pair of lattice distributions with no stable moment preference.
 
-    The first puts Poisson(lam) weights on the even integers, the second the
+    The first puts Poisson(1) weights on the even integers, the second the
     same weights on the odd integers (shifted by one), so truncated moment
     comparisons flip direction with the parity of the truncation point and
     the pair is incomparable.
     """
-    log_lam = np.log(lam)
 
     def log_even(v):
         if v < 2 or v % 2:
             return -np.inf
-        j = v // 2
-        # Poisson(lam) on j >= 1, renormalised to exclude j = 0
-        return j * log_lam - gammaln(j + 1) - lam - np.log1p(-np.exp(-lam))
+        # Poisson(1) at j = v / 2 >= 1, renormalised to exclude j = 0
+        return -gammaln(v // 2 + 1) - 1.0 - np.log1p(-np.exp(-1.0))
 
     def log_odd(v):
         if v < 1 or v % 2 == 0:
             return -np.inf
-        j = (v - 1) // 2
-        return j * log_lam - gammaln(j + 1) - lam
+        return -gammaln((v - 1) // 2 + 1) - 1.0
 
-    even = LatticeDistribution(log_even, lower=2, name="even-lattice")
-    odd = LatticeDistribution(log_odd, lower=1, name="odd-lattice")
-    return even, odd
+    return LatticeDistribution(log_even, lower=2), LatticeDistribution(log_odd, lower=1)

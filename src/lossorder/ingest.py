@@ -82,10 +82,6 @@ class ScaleSpec:
         )
 
     @property
-    def lower(self):
-        return min(a for a, _ in self.intervals)
-
-    @property
     def upper(self):
         return max(b for _, b in self.intervals)
 
@@ -104,18 +100,18 @@ def _as_text(data):
     return data
 
 
-def _reader(data, delimiter):
-    return csv.reader(io.StringIO(_as_text(data)), delimiter=delimiter)
+def _reader(data):
+    return csv.reader(io.StringIO(_as_text(data)))
 
 
-def parse_scores(data, group_by="scenario", delimiter=","):
+def parse_scores(data, group_by="scenario"):
     """Parse rating records into the raw scores of each group.
 
     The input needs a header naming at least a score column (``cvss`` or
     ``score``, in any case) and the grouping column.  Returns a dict mapping
     each group key to its scores, in file order.
     """
-    rows = _reader(data, delimiter)
+    rows = _reader(data)
     try:
         header = [h.strip().lower() for h in next(rows)]
     except StopIteration:
@@ -148,13 +144,13 @@ def parse_scores(data, group_by="scenario", delimiter=","):
     return groups
 
 
-def parse_ratings(data, scale, group_by="scenario", delimiter=","):
+def parse_ratings(data, scale, group_by="scenario"):
     """Parse rating records (as ``parse_scores``) and coarsen each group onto
     the category scale.  Returns a dict mapping each group key to a
     CategoricalDistribution on the scale's categories.
     """
     out = {}
-    for key, scores in parse_scores(data, group_by, delimiter).items():
+    for key, scores in parse_scores(data, group_by).items():
         counts = Counter(scale.categorize(score) for score in scores)
         out[key] = CategoricalDistribution(
             labels=scale.labels,
@@ -164,13 +160,13 @@ def parse_ratings(data, scale, group_by="scenario", delimiter=","):
     return out
 
 
-def parse_counts(data, delimiter=","):
+def parse_counts(data):
     """Parse a bin/count table into one HistogramDistribution per column.
 
     The first column holds the bin values; every further column is a count
     series named by its header.  All-zero columns are skipped.
     """
-    rows = _reader(data, delimiter)
+    rows = _reader(data)
     try:
         header = [h.strip() for h in next(rows)]
     except StopIteration:
@@ -209,13 +205,13 @@ def parse_counts(data, delimiter=","):
     return out
 
 
-def parse_series(data, split=None, delimiter=","):
+def parse_series(data, split=None):
     """Parse a single numeric column, optionally split at an index.
 
     Returns the full list, or (first ``split`` values, remainder) when a
     split index is given.  A one-line header is tolerated.
     """
-    rows = _reader(data, delimiter)
+    rows = _reader(data)
     values = []
     for lineno, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
@@ -244,7 +240,7 @@ def _support_list(d):
     return [float(lo), float(hi)]
 
 
-def to_json(d, indent=None):
+def to_json(d):
     """Serialize a distribution to the JSON interchange form."""
     if isinstance(d, CategoricalDistribution):
         doc = {
@@ -280,7 +276,7 @@ def to_json(d, indent=None):
         }
     else:
         raise TypeError(f"{type(d).__name__} has no JSON form")
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def from_json(text):

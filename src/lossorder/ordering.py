@@ -393,11 +393,10 @@ def compare_kdes(k1, k2):
 
 def _check_admissible(d):
     lo = d.support.lower
-    if np.isfinite(lo) and lo < 1.0 - 1e-9:
-        if d.support.is_compact:
-            raise AdmissibilityError(
-                f"support lower bound {lo} < 1; shift the losses into [1, inf)"
-            )
+    if lo < 1.0 - 1e-9 and np.isfinite(d.support.upper):
+        raise AdmissibilityError(
+            f"support lower bound {lo} < 1; shift the losses into [1, inf)"
+        )
 
 
 def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import gammaln
 
 from lossorder import fixtures, kde, ordering
 from lossorder.distributions import (
@@ -18,6 +19,7 @@ from lossorder.distributions import (
     Gamma,
     Gumbel,
     HistogramDistribution,
+    LatticeDistribution,
     Weibull,
 )
 from lossorder.errors import Undecided
@@ -323,9 +325,24 @@ class TestPropertySuite:
         assert grid_dominates(threshold.grid, verdict.preferred_index)
 
     def test_alternating_lattice_pair_is_incomparable(self, prop_timer):
-        for lam in (0.5, 1.0, 2.0):
-            even, odd = fixtures.poisson_like_pair(lam)
-            assert compare(even, odd).relation is Relation.INCOMPARABLE
+        even, odd = fixtures.poisson_like_pair()
+        assert compare(even, odd).relation is Relation.INCOMPARABLE
+        for lam in (0.5, 2.0):
+            # the same parity split of Poisson(lam) weights on j >= 1
+            def log_even(v, lam=lam):
+                if v < 2 or v % 2:
+                    return -np.inf
+                j = v // 2
+                return j * np.log(lam) - gammaln(j + 1) - lam - np.log1p(-np.exp(-lam))
+
+            def log_odd(v, lam=lam):
+                if v < 1 or v % 2 == 0:
+                    return -np.inf
+                j = (v - 1) // 2
+                return j * np.log(lam) - gammaln(j + 1) - lam
+
+            pair = LatticeDistribution(log_even, lower=2), LatticeDistribution(log_odd, lower=1)
+            assert compare(*pair).relation is Relation.INCOMPARABLE
 
     @PROP_SETTINGS
     @given(

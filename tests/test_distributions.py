@@ -13,9 +13,11 @@ from lossorder.distributions import (
     HistogramDistribution,
     LatticeDistribution,
     LossDistribution,
+    ParametricDistribution,
     PiecewisePolyDensity,
     PointMass,
     SupportInterval,
+    TruncatedDistribution,
     Weibull,
     truncate,
 )
@@ -25,7 +27,7 @@ from lossorder.errors import (
     MomentsUndefined,
     NoDensity,
 )
-from lossorder.kde import fit
+from lossorder.kde import KernelDensityEstimate, fit
 from lossorder.ordering import (
     Relation,
     compare,
@@ -172,9 +174,11 @@ class TestPiecewisePoly:
         d = PiecewisePolyDensity(breaks, coefs)
         polys = [np.polynomial.Polynomial(c) for c in coefs]
         antis = [p.integ() for p in polys]
-        cum = np.concatenate([[0.0], np.cumsum(
-            [ad(hi) - ad(lo) for ad, lo, hi in zip(antis, breaks[:-1], breaks[1:])]
-        )])
+        tops = [ad(hi) for ad, hi in zip(antis, breaks[1:])]
+        # the mass above each breakpoint, summed from the top segment down
+        above = [0.0]
+        for top, ad, lo in reversed(list(zip(tops, antis, breaks[:-1]))):
+            above.insert(0, above[0] + (top - ad(lo)))
 
         def seg(v):
             return min(max(int(np.searchsorted(breaks, v, side="right")) - 1, 0), 2)
@@ -183,10 +187,10 @@ class TestPiecewisePoly:
             val = polys[seg(v)](v)
             return max(val, 0.0) if breaks[0] <= v <= breaks[-1] else 0.0
 
-        def cdf(v):
+        def sf(v):
             v = min(max(v, breaks[0]), breaks[-1])
             i = seg(v)
-            return min(max(cum[i] + antis[i](v) - antis[i](breaks[i]), 0.0), 1.0)
+            return min(max((above[i + 1] + (tops[i] - antis[i](v))) / above[0], 0.0), 1.0)
 
         xs = np.concatenate([
             breaks, [0.0, 0.5, 5.5, 9.0, -np.inf, np.inf],
@@ -195,9 +199,11 @@ class TestPiecewisePoly:
         ])
         with np.errstate(invalid="ignore"):  # polyval takes inf * 0 at +-inf
             assert np.array_equal(d.pdf(xs), [pdf(v) for v in xs])
-            assert np.array_equal(d.cdf(xs), [cdf(v) for v in xs])
+            assert np.array_equal(d.sf(xs), [sf(v) for v in xs])
+            assert np.array_equal(d.cdf(xs), [1.0 - sf(v) for v in xs])
         assert d.pdf(3.0) == pdf(3.0) and np.ndim(d.pdf(3.0)) == 0
-        assert d.cdf(np.array([])).shape == (0,)
+        assert d.sf(3.0) == sf(3.0) and np.ndim(d.sf(3.0)) == 0
+        assert d.sf(np.array([])).shape == (0,)
 
     def test_pdf_off_the_support_does_not_warn(self):
         t = PiecewisePolyDensity([1.0, 2.0, 3.0], [[-1.0, 1.0], [3.0, -1.0]])
@@ -423,6 +429,13 @@ class TestTruncated:
         base = Gumbel(6.27294, 2.20532)
         assert truncate(base, -np.inf, 20.0).isf(q) == pytest.approx(base.isf(q), rel=1e-12)
 
+    def test_open_above_window_isf_starts_at_the_lower_end(self):
+        # the search for the level goes up from the window's lower end 0,
+        # not from 1, which lies above the median 0.5
+        base = Gaussian(0.5, 0.1)
+        t = truncate(base, 0.0, np.inf)
+        assert t.isf(0.5) == pytest.approx(base.isf(0.5 * t.renormalization), rel=1e-12)
+
     def test_empty_window(self):
         with pytest.raises(EmptyTruncation):
             truncate(Gamma(2.0, 1.0), 1e6, 2e6)
@@ -485,6 +498,19 @@ class TestLattice:
         assert np.exp(g.log_moment(2)) == pytest.approx(series, rel=1e-10)
 
 
+def test_histogram_survival_is_exact_at_the_ends():
+    # summed from the top, the survival is exactly 0 from the largest atom
+    # on and exactly 1 below the smallest
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        n = int(rng.integers(1, 12))
+        values = np.sort(rng.choice(np.arange(1, 50), n, replace=False)).astype(float)
+        h = HistogramDistribution(tuple(values), tuple(int(c) for c in rng.integers(1, 1000, n)))
+        assert h.sf(values[-1]) == 0.0 and h.sf(1e9) == 0.0
+        assert h.sf(values[0] - 1.0) == 1.0
+        assert h.cdf(np.inf) == 1.0
+
+
 def test_descending_pmf_orders_worst_first():
     h = HistogramDistribution((1.0, 2.0, 3.0), (1, 2, 1))
     values, probs = h.descending_pmf()
@@ -514,6 +540,27 @@ REPRESENTATIONS = {
 
 class TestRepresentationProtocol:
     """What the ordering rules ask of every representation."""
+
+    @pytest.mark.parametrize("method", ["cdf", "sf", "logsf"])
+    @pytest.mark.parametrize("name", REPRESENTATIONS)
+    def test_nan_gives_nan(self, name, method):
+        f = getattr(REPRESENTATIONS[name], method)
+        assert np.isnan(f(np.nan))
+        got = f(np.array([np.nan, 2.0, np.nan]))
+        assert np.isnan(got).tolist() == [True, False, True]
+
+    def test_survival_is_the_primitive(self):
+        # each representation gives sf, and a cdf only as a closed form of
+        # its own; the finite pmfs give neither, only descending_pmf()
+        closed_form_cdf = {
+            ParametricDistribution, KernelDensityEstimate, TruncatedDistribution, LatticeDistribution
+        }
+        for d in REPRESENTATIONS.values():
+            cls = type(d)
+            assert cls.sf is not LossDistribution.sf
+            assert (cls.cdf is not LossDistribution.cdf) == (cls in closed_form_cdf)
+        for cls in (CategoricalDistribution, HistogramDistribution, PointMass):
+            assert not {"support", "pdf", "cdf", "sf"} & set(vars(cls))
 
     @pytest.mark.parametrize("q", [1e-1, 1e-3, 1e-6])
     @pytest.mark.parametrize("name", REPRESENTATIONS)

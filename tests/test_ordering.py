@@ -11,6 +11,7 @@ from lossorder.distributions import (
     PiecewisePolyDensity,
     PointMass,
     Weibull,
+    truncate,
 )
 from lossorder.errors import (
     AdmissibilityError,
@@ -174,6 +175,15 @@ class TestDispatcher:
         low = PiecewisePolyDensity.uniform(0.2, 3.0)
         with pytest.raises(AdmissibilityError):
             compare(low, PiecewisePolyDensity.uniform(1.0, 3.0))
+
+    def test_window_open_below_with_a_finite_top_rejected(self):
+        # its losses reach below 1 as surely as a compact window's below 1 do
+        t = truncate(Gumbel(6.27294, 2.20532), -np.inf, 20.0)
+        histograms = list(fixtures.load_outbreak_histograms().values())
+        pairs = [(t, t)] + [p for h in histograms for p in ((t, h), (h, t))]
+        for d1, d2 in pairs:
+            with pytest.raises(AdmissibilityError):
+                compare(d1, d2)
 
     def test_unbounded_pair_goes_through_ladder(self):
         v = compare(Gumbel(6.27294, 2.20532), Gumbel(6.19073, 2.06288))
@@ -375,3 +385,29 @@ def test_compact_support_beats_unbounded(name, compact_first):
     for _, s1, s2 in t.grid:
         s_compact, s_unbounded = (s1, s2) if compact_first else (s2, s1)
         assert s_compact <= s_unbounded + 1e-12
+
+
+def _random_step_density(rng):
+    """A piecewise-constant density on [1, 20] with one to five steps."""
+    n = int(rng.integers(1, 6))
+    inner = np.sort(rng.choice(np.arange(2, 20), n - 1, replace=False))
+    breaks = np.concatenate([[1.0], inner, [20.0]])
+    heights = rng.uniform(0.1, 1.0, n)
+    heights /= np.sum(heights * np.diff(breaks))
+    return PiecewisePolyDensity(breaks, [[h] for h in heights])
+
+
+def test_strict_verdicts_between_step_densities_are_certified():
+    # both survivals are exactly 0 at the common right end, so no rounding
+    # residue there reads as a dominance violation
+    rng = np.random.default_rng(0)
+    strict = 0
+    while strict < 400:
+        f, g = _random_step_density(rng), _random_step_density(rng)
+        v = compare(f, g)
+        if v.preferred_index is None:
+            continue
+        strict += 1
+        assert v.decided_by == "DerivativeLex"
+        t = tail_threshold(f, g, v)
+        assert t.grid[-1][0] == 20.0 and t.grid[-1][1:] == (0.0, 0.0)
