@@ -85,20 +85,42 @@ def expand_bound(logweight, start, step, direction):
     return x
 
 
-def bisect(pred, lo, hi, steps):
-    """Halve [lo, hi] ``steps`` times, keeping ``pred`` true at lo and false
+def bisect(pred, lo, hi, steps, points=1):
+    """Cut [lo, hi] ``steps`` times, keeping ``pred`` true at lo and false
     at hi; returns the final (lo, hi).
 
-    Once the midpoint equals an end, the interval cannot shrink further and
-    every later step would repeat this one, so the loop stops there.
+    Each cut asks ``pred`` once: of the midpoint 0.5 (lo + hi) when
+    ``points`` is 1, else of the array of the interior points
+    lo + j (hi - lo) / (points + 1), j = 1..points, answered by an array of
+    booleans.  The new bracket runs from the last point where ``pred`` holds
+    (or lo) to the next point (or hi), so the two ends keep their answers
+    even when ``pred`` is not monotone.  Once no point lies strictly inside,
+    the interval cannot shrink further and every later cut would repeat
+    this one, so the loop stops there, with lo and hi equal or adjacent.
     """
+    if points == 1:
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            collapsed = mid == lo or mid == hi
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+            if collapsed:
+                break
+        return lo, hi
+    # offsets from lo: a weighted mean of the ends can round onto them
+    # while floats still lie between
+    fractions = np.arange(1, points + 1) / (points + 1)
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        collapsed = mid == lo or mid == hi
-        if pred(mid):
-            lo = mid
+        xs = lo + (hi - lo) * fractions
+        collapsed = not np.any((xs > lo) & (xs < hi))
+        holds = np.flatnonzero(np.broadcast_to(pred(xs), xs.shape))
+        if holds.size:
+            last = holds[-1]
+            lo, hi = float(xs[last]), float(xs[last + 1]) if last + 1 < points else hi
         else:
-            hi = mid
+            hi = float(xs[0])
         if collapsed:
             break
     return lo, hi

@@ -210,8 +210,8 @@ class LossDistribution:
 class _FinitePmf(LossDistribution):
     """Finite pmf: ``descending_pmf()`` gives its atoms as (values, probs)
     arrays in strictly descending severity order.  Its support runs from the
-    last atom to the first, its survival sums the atoms from the top, and its
-    moments are one log-sum over them."""
+    last atom with mass to the first, its survival sums the atoms from the
+    top, and its moments are one log-sum over them."""
 
     has_density = False
     is_discrete = True
@@ -222,7 +222,9 @@ class _FinitePmf(LossDistribution):
 
     @cached_property
     def support(self):
-        values = self._atoms[0]
+        # an atom without mass is no loss that can occur
+        values, probs = self._atoms
+        values = values[probs > 0]
         return SupportInterval(float(values[-1]), float(values[0]))
 
     def pdf(self, x):

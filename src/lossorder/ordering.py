@@ -25,9 +25,14 @@ point-mass and categorical rules, each of which exists for one
 representation, test for it.
 
 Every strict verdict comes with a tail threshold x0: the point above which
-the preferred option's survival function is dominated by the other's.  For
-verdicts of the tail keys, the search for x0 follows log survivals out to
-``ISF_CAP``, far beyond where the survivals themselves underflow.
+the preferred option's survival function is dominated by the other's.  When
+the preferred side's support ends first (a ``SupportBound`` verdict, or a
+``PointMassRule`` one between upper bounds that differ), x0 is that end.
+Otherwise a grid search finds the last violation, and cuts of 16 points at
+a time narrow the bracket above it down to adjacent floats.  For verdicts
+of the tail keys, the search follows log survivals out to ``ISF_CAP``, far
+beyond where the survivals themselves underflow.  The certificate's rows,
+(x, sf1, sf2) at and above x0, are kept as one read-only float array.
 """
 
 import enum
@@ -57,6 +62,7 @@ __all__ = [
     "MomentSequence",
     "PreferenceVerdict",
     "TailThreshold",
+    "CertificateRows",
     "moment_sequence",
     "compare_categorical",
     "compare_moment_sequences",
@@ -155,17 +161,59 @@ class PreferenceVerdict:
         return None
 
 
+class CertificateRows:
+    """The rows (x, survival_first(x), survival_second(x)) of a certificate,
+    kept as one read-only (n, 3) float64 array.
+
+    It reads like the tuple of row tuples it stands for: ``len``, iteration
+    and ``rows[i]`` give tuples of Python floats, it compares equal to that
+    tuple of tuples and hashes like it, and ``np.asarray(rows)`` gives the
+    array itself, without a copy.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array):
+        self._array = array
+
+    def __len__(self):
+        return len(self._array)
+
+    def __getitem__(self, i):
+        return tuple(self._array[i].tolist())
+
+    def __iter__(self):
+        return map(tuple, self._array.tolist())
+
+    def __eq__(self, other):
+        # a tuple answers NotImplemented for rows, so rows == rows and
+        # tuple == rows both come back here with a tuple
+        return tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __array__(self, dtype=None, copy=None):
+        dtype = self._array.dtype if dtype is None else dtype
+        return self._array.astype(dtype, copy=bool(copy))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class TailThreshold:
     """Threshold x0 plus the survival evidence grid that certifies it.
 
     ``grid`` rows are (x, survival_first(x), survival_second(x)); every row
-    lies at or above x0 and witnesses the dominance inequality.  For
-    categorical data x0 is a category label.
+    lies at or above x0 and witnesses the dominance inequality.  They are
+    kept as one read-only float array behind ``CertificateRows``, which
+    reads like a tuple of row tuples.  For categorical data x0 is a
+    category label.
     """
 
     x0: float | str
-    grid: tuple
+    grid: CertificateRows
 
 
 def moment_sequence(d, k_max=DEFAULT_K_MAX):
@@ -454,7 +502,21 @@ def _certificate(x0, xs, sp, so, pref, first):
     """``TailThreshold`` at x0 whose rows (x, sf_first(x), sf_second(x)) come
     from the survivals at xs of the preferred side, sp, and of the other, so."""
     s1, s2 = (sp, so) if pref is first else (so, sp)
-    return TailThreshold(x0, tuple(zip(xs.tolist(), s1.tolist(), s2.tolist())))
+    rows = np.stack([xs, s1, s2], axis=1)
+    rows.flags.writeable = False
+    return TailThreshold(x0, CertificateRows(rows))
+
+
+def _support_bound_threshold(pref, other, first):
+    """x0 at the preferred side's upper bound, where its survival reaches 0,
+    with at most 64 rows from there to the other's bound or isf(1e-9)."""
+    hi = other.support.upper
+    if not np.isfinite(hi):
+        hi = max(pref.support.upper, _isf(other, 1e-9))
+    # a bound at or beyond the other's isf(1e-9) leaves one distinct row
+    xs = np.unique(np.linspace(pref.support.upper, hi, 64))
+    sp, so = _survivals(pref, other, xs)
+    return _certificate(float(pref.support.upper), xs, sp, so, pref, first)
 
 
 def _categorical_threshold(pref, other, first):
@@ -542,12 +604,12 @@ def _continuous_threshold(pref, other, first, far=False):
         if far:
             # x0 at the crossing itself, which the log survivals resolve
             def violated(x):
-                return float(pref.logsf(x)) > float(other.logsf(x))
+                return pref.logsf(x) > other.logsf(x)
         else:
             def violated(x):
-                return _violated(float(pref.sf(x)), float(other.sf(x)))
+                return _violated(pref.sf(x), other.sf(x))
 
-        x0 = bisect(violated, xs[last], xs[last + 1], 80)[1]
+        x0 = bisect(violated, xs[last], xs[last + 1], 80, points=16)[1]
         start = last + 1
     # certificate rows reuse the search pass: only x0 is a new point
     points = np.concatenate([[x0], xs[start:]])
@@ -581,13 +643,7 @@ def tail_threshold(d1, d2, verdict):
         others = d2s if pref is d1 else d1s
         return _continuous_threshold(prefs, others, d1s)
     if verdict.decided_by == "SupportBound":
-        hi = other.support.upper
-        if not np.isfinite(hi):
-            hi = max(pref.support.upper, _isf(other, 1e-9))
-        # a bound at or beyond the other's isf(1e-9) leaves one distinct row
-        xs = np.unique(np.linspace(pref.support.upper, hi, 64))
-        sp, so = _survivals(pref, other, xs)
-        return _certificate(float(pref.support.upper), xs, sp, so, pref, d1)
+        return _support_bound_threshold(pref, other, d1)
     if isinstance(pref, CategoricalDistribution) and isinstance(
         other, CategoricalDistribution
     ):
@@ -596,5 +652,10 @@ def tail_threshold(d1, d2, verdict):
         pref.support.is_compact and other.support.is_compact
     ):
         return _discrete_threshold(pref, other, d1)
+    if verdict.decided_by == "PointMassRule" and (
+        pref.support.upper < other.support.upper
+    ):
+        # the preferred side ends first: no crossing to search for
+        return _support_bound_threshold(pref, other, d1)
     far = verdict.decided_by == "TailAsymptotics"
     return _continuous_threshold(pref, other, d1, far)

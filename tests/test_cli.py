@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lossorder
-from lossorder import cli
-from lossorder.distributions import ParametricDistribution
+from lossorder import cli, ordering
+from lossorder.distributions import Gumbel, ParametricDistribution
 from lossorder.errors import ThresholdNotFound
 from lossorder.fixtures import _read
 
@@ -247,3 +248,17 @@ def test_cli_import_leaves_scipy_stats_out():
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, lossorder.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_certificate_rows_print_as_tuple_rows(capsys):
+    # the JSON text of the rows is what a tuple of Python-float rows gives
+    code, out, _ = run(
+        capsys, "compare", "gumbel:6.27294,2.20532", "gumbel:6.19073,2.06288", "--threshold"
+    )
+    assert code == 1
+    d1, d2 = Gumbel(6.27294, 2.20532), Gumbel(6.19073, 2.06288)
+    t = ordering.tail_threshold(d1, d2, ordering.compare(d1, d2))
+    xs, s1, s2 = np.asarray(t.grid).T
+    report = json.loads(out)
+    report["x0"]["grid"] = [list(row) for row in zip(xs.tolist(), s1.tolist(), s2.tolist())]
+    assert out == json.dumps(report, indent=2) + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -411,3 +413,108 @@ def test_strict_verdicts_between_step_densities_are_certified():
         assert v.decided_by == "DerivativeLex"
         t = tail_threshold(f, g, v)
         assert t.grid[-1][0] == 20.0 and t.grid[-1][1:] == (0.0, 0.0)
+
+
+class TestCertificateRows:
+    @pytest.fixture
+    def threshold(self):
+        d1, d2 = Gumbel(6.27294, 2.20532), Gumbel(6.19073, 2.06288)
+        return tail_threshold(d1, d2, compare(d1, d2))
+
+    def test_rows_are_tuples_of_python_floats(self, threshold):
+        grid = threshold.grid
+        assert len(grid) > 2 and len(list(grid)) == len(grid)
+        for row in (grid[0], grid[-1], *grid):
+            assert type(row) is tuple and len(row) == 3
+            assert all(type(v) is float for v in row)
+
+    def test_rows_equal_and_hash_like_the_tuple_of_tuples(self, threshold):
+        grid = threshold.grid
+        rows = tuple(tuple(row) for row in np.asarray(grid).tolist())
+        assert grid == rows and rows == grid and grid == grid
+        assert hash(grid) == hash(rows)
+        assert grid != rows[:-1] and grid != rows[:-1] + ((0.0, 0.0, 0.0),)
+        assert {grid, rows} == {rows}
+
+    def test_array_view_is_read_only_and_not_copied(self, threshold):
+        array = np.asarray(threshold.grid)
+        assert array.shape == (len(threshold.grid), 3) and array.dtype == np.float64
+        assert np.shares_memory(array, np.asarray(threshold.grid, dtype=float))
+        with pytest.raises(ValueError):
+            array[0, 1] = 1.0
+
+    def test_rows_of_a_long_certificate_retain_one_float_array(self):
+        d1, d2 = Gumbel(6.27294, 2.20532), Gamma(3.0, 2.0)
+        verdict = compare(d1, d2)
+        tail_threshold(d1, d2, verdict)  # fill the caches first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = tail_threshold(d1, d2, verdict)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 3976 rows of three float64 are 93 KiB; boxed as tuples, 433 KiB
+        assert len(t.grid) == 3976
+        assert retained < 150 * 1024
+
+
+class TestPointMassCertificates:
+    @pytest.mark.parametrize("mass_first", [True, False])
+    def test_point_mass_against_a_tail_takes_the_support_bound_rows(self, mass_first):
+        mass, tail = PointMass(5.0), Gaussian(10.0, 2.0)
+        d1, d2 = (mass, tail) if mass_first else (tail, mass)
+        v = compare(d1, d2)
+        assert v.decided_by == "PointMassRule" and v.preferred_index == (0 if mass_first else 1)
+        t = tail_threshold(d1, d2, v)
+        assert t.x0 == 5.0 and len(t.grid) == 64
+        xs = np.asarray(t.grid)[:, 0]
+        assert xs[0] == 5.0 and xs[-1] == pytest.approx(tail.isf(1e-9))
+        s_mass = np.asarray(t.grid)[:, 1 if mass_first else 2]
+        assert not s_mass.any()
+
+    @pytest.mark.parametrize("name", ["gamma", "weibull"])
+    def test_point_mass_below_a_tail_is_certified_at_its_value(self, name):
+        tail = {"gamma": Gamma(260.345, 0.0373929), "weibull": Weibull(20.0, 10.0)}[name]
+        for d1, d2 in ((PointMass(3.0), tail), (tail, PointMass(3.0))):
+            t = tail_threshold(d1, d2, compare(d1, d2))
+            assert t.x0 == 3.0 and len(t.grid) == 64
+
+    def test_point_mass_against_a_histogram_keeps_the_discrete_rows(self):
+        c1 = fixtures.load_outbreak_histograms()["config1"]
+        for d1, d2 in ((PointMass(3.0), c1), (c1, PointMass(3.0))):
+            t = tail_threshold(d1, d2, compare(d1, d2))
+            assert t.x0 == 2.0 and len(t.grid) == 18
+
+
+class TestAtomsWithoutMass:
+    """An atom of zero mass is no loss that can occur: it bounds nothing."""
+
+    EMPTY_TOP = HistogramDistribution((1.0, 5.0, 20.0), (5, 3, 0))
+
+    def test_support_ends_at_the_last_atom_with_mass(self):
+        assert self.EMPTY_TOP.support.upper == 5.0
+
+    def test_empty_top_bin_is_equivalent_to_its_trimmed_copy(self):
+        trimmed = HistogramDistribution((1.0, 5.0), (5, 3))
+        for d1, d2 in ((self.EMPTY_TOP, trimmed), (trimmed, self.EMPTY_TOP)):
+            assert compare(d1, d2).relation is Relation.EQUIVALENT
+
+    @pytest.mark.parametrize(
+        "other", [PointMass(10.0), truncate(Gamma(3.0, 2.0), 1.0, 10.0)], ids=["point", "window"]
+    )
+    def test_empty_top_bin_beats_losses_beyond_its_mass(self, other):
+        v = compare(self.EMPTY_TOP, other)
+        assert v.relation is Relation.FIRST_STRICT
+        assert compare(other, self.EMPTY_TOP).relation is Relation.SECOND_STRICT
+        t = tail_threshold(self.EMPTY_TOP, other, v)
+        assert all(s1 <= s2 for _, s1, s2 in t.grid)
+
+    def test_empty_top_category_bounds_nothing(self):
+        cat = CategoricalDistribution(("high", "mid", "low"), (3, 2, 1), (0.0, 0.5, 0.5))
+        hist = HistogramDistribution((1.0, 2.5), (1, 1))
+        v = compare(cat, hist, common_scale=True)
+        assert (v.relation, v.decided_by) == (Relation.FIRST_STRICT, "SupportBound")
+        t = tail_threshold(cat, hist, v)
+        # at x = 2 the categorical survival is 0 and the histogram's 0.5
+        assert t.x0 == 2.0 and t.grid[0] == (2.0, 0.0, 0.5)
