@@ -9,7 +9,7 @@ restored.  Same data, different granularity, different answer - the
 granularity choice is part of the modelling.
 """
 
-from lossorder import compare, compare_kdes, fit, tail_threshold
+from lossorder import compare, fit, tail_threshold
 from lossorder.fixtures import load_cvss_ratings, load_cvss_scores
 
 groups = load_cvss_ratings()
@@ -30,5 +30,5 @@ print(
     "  effective upper bounds: "
     f"{k1.effective_upper_bound():.3f} vs {k2.effective_upper_bound():.3f}"
 )
-verdict = compare_kdes(k1, k2)
+verdict = compare(k1, k2)
 print(f"  verdict: {verdict.relation.value} (rule: {verdict.decided_by})")

@@ -126,6 +126,22 @@ def _kind(d):
     return type(d).__name__
 
 
+def _finish(report, d1, d2, verdict, threshold, certificate=_threshold_doc, extra=()):
+    """Print the report with its certificate (or x0 null and the reason, the
+    error raised once the report is out), and return the exit code."""
+    error = None
+    if threshold and verdict.relation is not ordering.Relation.INCOMPARABLE:
+        try:
+            report["x0"] = certificate(ordering.tail_threshold(d1, d2, verdict))
+        except ThresholdNotFound as exc:
+            report["x0"], report["x0_error"], error = None, str(exc), exc
+    report.update(extra)
+    print(json.dumps(report, indent=2))
+    if error is not None:
+        raise error
+    return _EXIT_BY_RELATION[verdict.relation]
+
+
 def cmd_compare(args):
     n1, d1 = load_source(args.first)
     n2, d2 = load_source(args.second)
@@ -138,26 +154,16 @@ def cmd_compare(args):
         ],
         "verdict": _verdict_doc(verdict),
     }
-    # a strict verdict without a certificate keeps its report, with x0 null
-    # and the reason beside it; the error is raised once the report is out
-    error = None
-    if args.threshold and verdict.relation is not ordering.Relation.INCOMPARABLE:
-        try:
-            report["x0"] = _threshold_doc(ordering.tail_threshold(d1, d2, verdict))
-        except ThresholdNotFound as exc:
-            report["x0"], report["x0_error"], error = None, str(exc), exc
+    extra = {}
     if args.moments:
-        report["moments"] = {
+        extra["moments"] = {
             "k": list(range(1, args.moments + 1)),
             "first": _moment_values(d1, args.moments),
             "second": _moment_values(d2, args.moments),
         }
     if args.plot_data:
-        report["plot_data"] = _plot_data(d1, d2)
-    print(json.dumps(report, indent=2))
-    if error is not None:
-        raise error
-    return _EXIT_BY_RELATION[verdict.relation]
+        extra["plot_data"] = _plot_data(d1, d2)
+    return _finish(report, d1, d2, verdict, args.threshold, extra=extra)
 
 
 def _plot_data(d1, d2, n=256):
@@ -205,7 +211,7 @@ def cmd_kde(args):
     if len(s1) < 2 or len(s2) < 2:
         raise CliError("each group needs at least two points")
     k1, k2 = kde.fit(s1), kde.fit(s2)
-    verdict = kde.compare_kdes(k1, k2)
+    verdict = ordering.compare(k1, k2)
     report = {
         "inputs": [
             {"name": name1, "kind": "KernelDensityEstimate", "n": k1.n},
@@ -218,20 +224,14 @@ def cmd_kde(args):
         ],
         "verdict": _verdict_doc(verdict),
     }
-    error = None  # as in cmd_compare
-    if args.threshold and verdict.relation is not ordering.Relation.INCOMPARABLE:
-        try:
-            doc = _threshold_doc(ordering.tail_threshold(k1, k2, verdict))
-        except ThresholdNotFound as exc:
-            report["x0"], report["x0_error"], error = None, str(exc), exc
-        else:
-            doc["grid"] = doc["grid"][:64]
-            doc["scale_shift"] = 1.0 - min(min(s1), min(s2))
-            report["x0"] = doc
-    print(json.dumps(report, indent=2))
-    if error is not None:
-        raise error
-    return _EXIT_BY_RELATION[verdict.relation]
+
+    def certificate(t):
+        doc = _threshold_doc(t)
+        doc["grid"] = doc["grid"][:64]
+        doc["scale_shift"] = 1.0 - min(min(s1), min(s2))
+        return doc
+
+    return _finish(report, k1, k2, verdict, args.threshold, certificate)
 
 
 def _parse_graph(spec):
@@ -384,7 +384,7 @@ def _reproduce_checks():
             return False, f"bound1 {k1.effective_upper_bound():.2f}"
         if abs(k2.effective_upper_bound() - 1215.28) > 0.5:
             return False, f"bound2 {k2.effective_upper_bound():.2f}"
-        verdict = kde.compare_kdes(k1, k2)
+        verdict = ordering.compare(k1, k2)
         if verdict.relation is not ordering.Relation.SECOND_STRICT:
             return False, f"verdict {verdict.relation.value}"
         t = ordering.tail_threshold(k1, k2, verdict)
@@ -402,7 +402,7 @@ def _reproduce_checks():
             return False, f"h1 {k1.bandwidth:.4f}"
         if not _rel_ok(k2.bandwidth, 0.346, 0.01):
             return False, f"h2 {k2.bandwidth:.4f}"
-        verdict = kde.compare_kdes(k1, k2)
+        verdict = ordering.compare(k1, k2)
         if verdict.relation is not ordering.Relation.SECOND_STRICT:
             return False, f"verdict {verdict.relation.value}"
         return True, "scenario2 preferred"

@@ -53,6 +53,10 @@ class AdmissibilityError(LossOrderError):
     """The input violates the admissibility requirements of the core comparison."""
 
 
+class JsonFormError(LossOrderError, ValueError):
+    """A document is no distribution's JSON form, or a distribution has none."""
+
+
 class EmptyData(LossOrderError):
     """An operation received no usable data."""
 

@@ -4,7 +4,8 @@ Three delimited-text layouts are supported: per-expert rating records, read
 as raw scores per group or coarsened onto an ordered category scale,
 bin/count tables with one column per configuration, and plain numeric
 series (optionally split into two groups).  A small JSON interchange format
-round-trips the distribution objects themselves.
+round-trips five kinds of distribution object: categorical, histogram, point
+mass, parametric and KDE.
 """
 
 import csv
@@ -23,6 +24,7 @@ from .distributions import (
 )
 from .errors import (
     EmptyData,
+    JsonFormError,
     RangeError,
     RowError,
     ScaleViolation,
@@ -275,31 +277,35 @@ def to_json(d):
             "bandwidth": d.bandwidth,
         }
     else:
-        raise TypeError(f"{type(d).__name__} has no JSON form")
+        raise JsonFormError(f"{type(d).__name__} has no JSON form")
     return json.dumps(doc)
 
 
 def from_json(text):
-    """Inverse of to_json."""
-    doc = json.loads(_as_text(text))
-    kind = doc.get("kind")
-    if kind == "categorical":
-        return CategoricalDistribution(
-            labels=tuple(doc["support"]["labels"]),
-            ranks=tuple(doc["support"]["ranks"]),
-            probs=tuple(doc["pmf"]),
-        )
-    if kind == "histogram":
-        total = doc["total"]
-        counts = tuple(int(round(p * total)) for p in doc["pmf"])
-        return HistogramDistribution(tuple(doc["support"]), counts)
-    if kind == "point_mass":
-        return PointMass(doc["parameters"]["value"])
-    if kind == "parametric":
-        p = doc["parameters"]
-        return ParametricDistribution(p["family"], p["a"], p["b"])
-    if kind == "samples":
-        samples = tuple(doc["samples"])
-        h = doc.get("bandwidth") or silverman_bandwidth(samples)
-        return KernelDensityEstimate(samples, h)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    """Inverse of to_json; ``JsonFormError`` on a document that is not JSON,
+    has no known kind, or lacks a field or holds one of the wrong type."""
+    try:
+        doc = json.loads(_as_text(text))
+        kind = doc["kind"]
+        if kind == "categorical":
+            return CategoricalDistribution(
+                labels=tuple(doc["support"]["labels"]),
+                ranks=tuple(doc["support"]["ranks"]),
+                probs=tuple(doc["pmf"]),
+            )
+        if kind == "histogram":
+            total = doc["total"]
+            counts = tuple(int(round(p * total)) for p in doc["pmf"])
+            return HistogramDistribution(tuple(doc["support"]), counts)
+        if kind == "point_mass":
+            return PointMass(doc["parameters"]["value"])
+        if kind == "parametric":
+            p = doc["parameters"]
+            return ParametricDistribution(p["family"], p["a"], p["b"])
+        if kind == "samples":
+            samples = tuple(doc["samples"])
+            h = doc.get("bandwidth") or silverman_bandwidth(samples)
+            return KernelDensityEstimate(samples, h)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JsonFormError(f"not a distribution's JSON form: {exc!r}") from exc
+    raise JsonFormError(f"unknown distribution kind {kind!r}")

@@ -5,10 +5,11 @@ statistics packages): h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with quartiles
 computed by linear interpolation (type-7).  The estimate is a Gaussian
 mixture: its moments are exact sums over the samples, linear in their number,
 and derivatives of any order come in closed form through probabilists'
-Hermite polynomials, which makes the derivative-lexicographic comparison of
-two estimates, ``compare_kdes`` (a rule of ``ordering``), practical.  Density
-and survival evaluation sums the kernels over fixed-size blocks of points, so
-its memory is linear in the sample count whatever the number of points.
+Hermite polynomials.  Density and survival evaluation sums the kernels over
+fixed-size blocks of points, so its memory is linear in the sample count
+whatever the number of points.  Two estimates are ordered by their tail
+keys, like any unbounded tails; ``effective_upper_bound()`` is reported but
+decides nothing.
 """
 
 from dataclasses import dataclass

@@ -11,7 +11,8 @@ with the moment criterion where their domains overlap.
 Two unbounded tails are ordered by their tail keys, the leading terms of
 -log sf(x) as x -> inf: the lighter tail has the eventually smaller
 moments (the density-ratio lemma).  Keys hold only those leading terms:
-keys that agree are equivalent if the survivals agree over the bulk too.
+two kernel estimates whose keys agree are ordered by their centres, and
+other keys that agree are equivalent if the survivals agree over the bulk.
 Lattices have no key: two of them compare moment prefixes on a ladder of
 integer windows that end at survival quantiles.  An unbounded pair with
 neither two keys nor two lattices is refused with ``NoDensity``.
@@ -45,7 +46,6 @@ from .distributions import (
     ISF_CAP,
     CategoricalDistribution,
     PointMass,
-    truncate,
 )
 from .errors import (
     AdmissibilityError,
@@ -168,13 +168,18 @@ class CertificateRows:
     It reads like the tuple of row tuples it stands for: ``len``, iteration
     and ``rows[i]`` give tuples of Python floats, it compares equal to that
     tuple of tuples and hashes like it, and ``np.asarray(rows)`` gives the
-    array itself, without a copy.
+    array itself, without a copy.  The array is made read-only here, also
+    when ``pickle`` or ``copy.deepcopy`` rebuilds the rows.
     """
 
     __slots__ = ("_array",)
 
     def __init__(self, array):
+        array.flags.writeable = False
         self._array = array
+
+    def __reduce__(self):
+        return CertificateRows, (self._array,)
 
     def __len__(self):
         return len(self._array)
@@ -253,17 +258,20 @@ def compare_moment_sequences(m1, m2):
     )
 
 
-def _aligned_descending(p, q):
-    vp, pp = p.descending_pmf()
-    vq, pq = q.descending_pmf()
-    if len(vp) == len(vq) and np.allclose(vp, vq, rtol=0, atol=1e-9):
-        return vp, pp, pq
-    values = np.union1d(vp, vq)[::-1]
-    fp = np.zeros(len(values))
-    fq = np.zeros(len(values))
-    fp[np.searchsorted(-values, -vp)] = pp
-    fq[np.searchsorted(-values, -vq)] = pq
-    return values, fp, fq
+def _lexicographic(p, q, rule):
+    """The side with less mass at the largest value where the descending
+    (values, probs) pairs p and q differ by more than ``PMF_TOL``."""
+    (vp, fp), (vq, fq) = p, q
+    if len(vp) != len(vq) or not np.allclose(vp, vq, rtol=0, atol=1e-9):
+        values = np.union1d(vp, vq)[::-1]
+        fp, fq = np.zeros((2, len(values)))
+        fp[np.searchsorted(-values, -vp)] = p[1]
+        fq[np.searchsorted(-values, -vq)] = q[1]
+    for i, (a, b) in enumerate(zip(fp, fq)):
+        if abs(a - b) > PMF_TOL:
+            relation = Relation.FIRST_STRICT if a < b else Relation.SECOND_STRICT
+            return PreferenceVerdict(relation, decided_by=rule, stabilization_index=i + 1)
+    return PreferenceVerdict(Relation.EQUIVALENT, decided_by=rule)
 
 
 def compare_categorical(p, q):
@@ -273,14 +281,7 @@ def compare_categorical(p, q):
             p.ranks, q.ranks, rtol=0, atol=1e-9
         ):
             raise SupportMismatch("categorical supports differ; align them first")
-    _, fp, fq = _aligned_descending(p, q)
-    for i, (a, b) in enumerate(zip(fp, fq)):
-        if abs(a - b) > PMF_TOL:
-            relation = Relation.FIRST_STRICT if a < b else Relation.SECOND_STRICT
-            return PreferenceVerdict(
-                relation, decided_by="CategoricalLex", stabilization_index=i + 1
-            )
-    return PreferenceVerdict(Relation.EQUIVALENT, decided_by="CategoricalLex")
+    return _lexicographic(p.descending_pmf(), q.descending_pmf(), "CategoricalLex")
 
 
 def compare_point_mass(a, y):
@@ -359,9 +360,11 @@ def _ladder_verdicts(pairs, k_max):
 def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     """Preference between distributions with unbounded upper tails.
 
-    Tail keys decide: the lighter tail is preferred.  Keys that agree are
-    equivalent if the survival functions agree over the bulk too, and
-    incomparable if not.  Two lattices, which have no key, compare their
+    Tail keys decide: the lighter tail is preferred.  Of two kernel
+    estimates whose keys agree, the lighter tail has the smaller share of
+    samples at the largest centre where the shares differ.  Other keys that
+    agree are equivalent if the survival functions agree over the bulk too,
+    and incomparable if not.  Two lattices, which have no key, compare their
     restrictions to integer windows on a ladder of survival quantiles and
     require a unanimous direction; ladder disagreement means the pair is
     incomparable.  Any other pair without two keys raises ``NoDensity``.
@@ -371,6 +374,8 @@ def compare_extended(f, g, k_max=DEFAULT_K_MAX):
         relation = _tail_relation(kf, kg)
         if relation is not None:
             return PreferenceVerdict(relation, decided_by="TailAsymptotics")
+        if f.from_samples and g.from_samples:
+            return _lexicographic(_centres(f), _centres(g), "TailAsymptotics")
         # a key holds only the leading terms of -log sf: a tie stands for
         # equivalence only where the survivals agree over the bulk as well
         _, _, sf, sg, viol = _search_grid(f, g)
@@ -415,28 +420,15 @@ def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     return PreferenceVerdict(strict.pop(), decided_by="TruncationLadder")
 
 
-def _pooled_shift(k1, k2):
-    """The shift that puts the pooled sample minimum of two KDEs at 1."""
-    return 1.0 - min(min(k1.samples), min(k2.samples))
+def _centres(k):
+    """A kernel estimate's distinct samples, descending, and their shares."""
+    values, counts = np.unique(k.samples, return_counts=True)
+    return values[::-1], counts[::-1] / k.n
 
 
 def compare_kdes(k1, k2):
-    """Preference between two KDEs following the effective-bound rule.
-
-    If the effective upper bounds differ, the estimate whose mass ends lower
-    is preferred outright.  Otherwise both are shifted so that the pooled
-    sample minimum sits at 1, truncated to [1, common bound], and the
-    derivative-lexicographic comparison decides.
-    """
-    e1 = k1.effective_upper_bound()
-    e2 = k2.effective_upper_bound()
-    scale = max(abs(e1), abs(e2), 1.0)
-    if abs(e1 - e2) > 1e-9 * scale:
-        relation = Relation.FIRST_STRICT if e1 < e2 else Relation.SECOND_STRICT
-        return PreferenceVerdict(relation, decided_by="EffectiveBound")
-    shift = _pooled_shift(k1, k2)
-    t1, t2 = (truncate(k.shifted(shift), 1.0, e1 + shift) for k in (k1, k2))
-    return compare_smooth(t1, t2)
+    """Preference between two KDEs: ``compare``, by their tail keys."""
+    return compare(k1, k2)
 
 
 def _check_admissible(d):
@@ -457,6 +449,8 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     compact support, tail keys (or, for two lattices, the truncation ladder)
     for two unbounded tails, and the moment-sequence scan for everything else.
     """
+    _check_admissible(d1)
+    _check_admissible(d2)
     if isinstance(d1, PointMass):
         return compare_point_mass(d1, d2)
     if isinstance(d2, PointMass):
@@ -468,10 +462,6 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
             "ordinal categories cannot be compared with numeric losses unless "
             "a common scale is declared (common_scale=True)"
         )
-    _check_admissible(d1)
-    _check_admissible(d2)
-    if d1.from_samples and d2.from_samples:
-        return compare_kdes(d1, d2)
     u1, u2 = d1.support.upper, d2.support.upper
     finite1, finite2 = np.isfinite(u1), np.isfinite(u2)
     # finiteness is tested on its own: abs(inf - b) > 1e-9 * inf is False
@@ -502,9 +492,7 @@ def _certificate(x0, xs, sp, so, pref, first):
     """``TailThreshold`` at x0 whose rows (x, sf_first(x), sf_second(x)) come
     from the survivals at xs of the preferred side, sp, and of the other, so."""
     s1, s2 = (sp, so) if pref is first else (so, sp)
-    rows = np.stack([xs, s1, s2], axis=1)
-    rows.flags.writeable = False
-    return TailThreshold(x0, CertificateRows(rows))
+    return TailThreshold(x0, CertificateRows(np.stack([xs, s1, s2], axis=1)))
 
 
 def _support_bound_threshold(pref, other, first):
@@ -637,7 +625,7 @@ def tail_threshold(d1, d2, verdict):
         # normalise the loss scale so the pooled sample minimum sits at 1;
         # survival dominance is shift-equivariant, the threshold is reported
         # on the normalised scale
-        shift = _pooled_shift(d1, d2)
+        shift = 1.0 - min(min(d1.samples), min(d2.samples))
         d1s, d2s = d1.shifted(shift), d2.shifted(shift)
         prefs = d1s if pref is d1 else d2s
         others = d2s if pref is d1 else d1s

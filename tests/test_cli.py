@@ -101,6 +101,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "no_such_file.csv", "gamma:2,1")
         assert code == 10
 
+    def test_malformed_json_exits_ten(self, capsys, tmp_path):
+        # 1 would read as "second preferred"
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "histogram", "pmf": [0.5, 0.5]}')
+        code, out, err = run(capsys, "compare", str(path), "gumbel:1,2")
+        assert code == 10 and out == ""
+        assert "total" in err
+
     def test_bad_arguments_exit_ten(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compare"])  # missing positional arguments

@@ -7,9 +7,12 @@ from lossorder.distributions import (
     Gamma,
     HistogramDistribution,
     PointMass,
+    truncate,
 )
 from lossorder.errors import (
     EmptyData,
+    JsonFormError,
+    LossOrderError,
     RangeError,
     RowError,
     ScaleViolation,
@@ -150,6 +153,40 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             from_json('{"kind": "mystery"}')
+        with pytest.raises(JsonFormError, match="mystery"):
+            from_json('{"kind": "mystery"}')
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind": "histogram", "pmf": [0.5, 0.5]}',
+            '{"kind": "histogram", "support": [1.0, 2.0], "pmf": [0.5, 0.5], "total": "ten"}',
+            '{"kind": "categorical", "support": [3.0, 1.0], "pmf": [0.5, 0.5]}',
+            '{"kind": "point_mass", "parameters": {"value": "four"}}',
+            '{"kind": "samples", "samples": 4.0}',
+            '{"support": [1.0, 2.0]}',
+            '[1, 2]',
+            "not json",
+        ],
+    )
+    def test_malformed_document_raises_json_form_error(self, doc):
+        with pytest.raises(JsonFormError):
+            from_json(doc)
+
+    def test_kind_without_json_form_raises_json_form_error(self):
+        with pytest.raises(JsonFormError, match="TruncatedDistribution"):
+            to_json(truncate(Gamma(3.0, 2.0), 1.0, 10.0))
+        assert issubclass(JsonFormError, LossOrderError)
+
+    def test_json_text_is_unchanged(self):
+        assert to_json(HistogramDistribution((1.0, 2.0, 5.0), (10, 30, 60))) == (
+            '{"kind": "histogram", "support": [1.0, 2.0, 5.0], '
+            '"pmf": [0.1, 0.3, 0.6], "total": 100}'
+        )
+        assert to_json(Gamma(3.5, 2.0)) == (
+            '{"kind": "parametric", "support": [0.0, Infinity], '
+            '"parameters": {"family": "gamma", "a": 3.5, "b": 2.0}}'
+        )
 
     def test_bytes_input_accepted(self):
         d = PointMass(2.0)

@@ -9,7 +9,7 @@ from scipy.special import logsumexp, ndtr
 
 from lossorder import kde
 from lossorder.distributions import _SQRT_2PI, Gaussian, norm_pdf
-from lossorder.errors import EmptyData, MomentsUndefined
+from lossorder.errors import EmptyData, MomentsUndefined, ThresholdNotFound
 from lossorder.kde import (
     KernelDensityEstimate,
     compare_kdes,
@@ -137,7 +137,7 @@ class TestCompare:
         k2 = fit(base + [9.0])  # high outlier pushes the bound up
         v = compare_kdes(k1, k2)
         assert v.relation is Relation.FIRST_STRICT
-        assert v.decided_by == "EffectiveBound"
+        assert v.decided_by == "TailAsymptotics"
 
     def test_verdict_invariant_under_common_scaling(self):
         a = [3.0, 4.5, 5.0, 7.0]
@@ -158,8 +158,70 @@ class TestCompare:
         k1 = KernelDensityEstimate((2.0, 3.0, 6.0), 0.5)
         k2 = KernelDensityEstimate((5.0, 5.5, 6.0), 0.5)
         v = compare_kdes(k1, k2)
-        assert v.decided_by == "DerivativeLex"
+        assert v.decided_by == "TailAsymptotics"
         assert v.relation is Relation.FIRST_STRICT
+
+    def test_keys_overrule_the_effective_bound(self):
+        # the first ends lower (10 + 3 < 12.5 + 1), but its wider kernels
+        # give it the heavier tail
+        k1 = KernelDensityEstimate(tuple(np.linspace(2.0, 10.0, 20)), 3.0)
+        k2 = KernelDensityEstimate(tuple(np.linspace(2.0, 12.5, 20)), 1.0)
+        assert k1.effective_upper_bound() < k2.effective_upper_bound()
+        v = compare(k1, k2)
+        assert (v.relation, v.decided_by) == (Relation.SECOND_STRICT, "TailAsymptotics")
+        assert compare(k2, k1).relation is Relation.FIRST_STRICT
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [((2.0, 3.0, 6.0), (5.0, 5.5, 6.0)), ((1.0, 2.0, 6.0, 6.0), (3.0, 6.0))],
+    )
+    def test_tied_keys_ordered_by_centres(self, first, second):
+        # one bandwidth, one top sample, one share there: the keys tie, and
+        # the first has the smaller share at the largest centre below
+        k1, k2 = KernelDensityEstimate(first, 0.5), KernelDensityEstimate(second, 0.5)
+        assert k1.tail_key() == pytest.approx(k2.tail_key())
+        v = compare(k1, k2)
+        assert (v.relation, v.decided_by) == (Relation.FIRST_STRICT, "TailAsymptotics")
+        assert compare(k2, k1).relation is Relation.SECOND_STRICT
+        t = tail_threshold(k1, k2, v)
+        assert all(s1 <= s2 for _, s1, s2 in t.grid)
+
+    def test_same_samples_in_any_order_equivalent(self):
+        k1 = KernelDensityEstimate((4.0, 2.0, 4.0, 7.0), 0.6)
+        k2 = KernelDensityEstimate((7.0, 4.0, 4.0, 2.0), 0.6)
+        v = compare(k1, k2)
+        assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "TailAsymptotics")
+
+
+#: perfbench's slack between log survivals
+LOG_SLACK = 2e-6
+
+
+def test_random_fitted_pairs_follow_the_keys_and_certify_truly():
+    """Two fitted KDEs: the smaller bandwidth is the lighter tail, whatever
+    the effective bounds say.  A certificate must hold in log survivals
+    past its last row too; a pair whose survivals cross beyond the bulk
+    grid gets no certificate rather than a false one."""
+    rng = np.random.default_rng(7)
+    certified = not_found = 0
+    for _ in range(300):
+        n1, n2 = rng.integers(5, 200, 2)
+        a = 1 + rng.gamma(rng.uniform(0.5, 5), rng.uniform(0.5, 5), n1)
+        b = 1 + rng.gamma(rng.uniform(0.5, 5), rng.uniform(0.5, 5), n2)
+        k1, k2 = fit(a), fit(b)
+        v = compare(k1, k2)
+        assert v.preferred_index == int(k2.bandwidth < k1.bandwidth)
+        try:
+            t = tail_threshold(k1, k2, v)
+        except ThresholdNotFound:
+            not_found += 1
+            continue
+        shift = 1.0 - min(a.min(), b.min())
+        pref, other = (k.shifted(shift) for k in ((k1, k2), (k2, k1))[v.preferred_index])
+        xs = t.grid[-1][0] * np.geomspace(1 + 1e-9, 1e4, 400)
+        assert np.all(pref.logsf(xs) - other.logsf(xs) <= LOG_SLACK)
+        certified += 1
+    assert certified >= 267 and certified + not_found == 300
 
 
 def test_fit_empty_rejected():

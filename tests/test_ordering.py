@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -135,6 +137,14 @@ class TestPointMassRules:
             assert (v.relation, v.decided_by) == (Relation.EQUIVALENT, "PointMassRule")
         assert compare(PointMass(2.0), sure).relation is Relation.FIRST_STRICT
         assert compare(sure, PointMass(2.0)).relation is Relation.SECOND_STRICT
+
+    def test_inadmissible_side_refused_before_the_point_mass_rule(self):
+        # a window reaching below 1 with a finite top is refused, whatever
+        # it is compared with
+        window = truncate(Gumbel(6.27294, 2.20532), -np.inf, 20.0)
+        for pair in ((PointMass(5.0), window), (window, PointMass(5.0)), (window, window)):
+            with pytest.raises(AdmissibilityError):
+                compare(*pair)
 
 
 class TestSmoothComparison:
@@ -443,6 +453,18 @@ class TestCertificateRows:
         with pytest.raises(ValueError):
             array[0, 1] = 1.0
 
+    @pytest.mark.parametrize(
+        "round_trip", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_round_trips_keep_rows_equal_and_read_only(self, threshold, round_trip):
+        t = round_trip(threshold)
+        assert t == threshold and t.grid == threshold.grid
+        array = np.asarray(t.grid)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 1] = 1.0
+
     def test_rows_of_a_long_certificate_retain_one_float_array(self):
         d1, d2 = Gumbel(6.27294, 2.20532), Gamma(3.0, 2.0)
         verdict = compare(d1, d2)
@@ -518,3 +540,41 @@ class TestAtomsWithoutMass:
         t = tail_threshold(cat, hist, v)
         # at x = 2 the categorical survival is 0 and the histogram's 0.5
         assert t.x0 == 2.0 and t.grid[0] == (2.0, 0.0, 0.5)
+
+
+def _random_pmf(rng, top):
+    """Values 1..top with random counts, the largest one carrying mass."""
+    values = np.sort(rng.choice(np.arange(1, top + 1), rng.integers(1, top + 1), replace=False))
+    counts = rng.integers(0, 4, len(values))
+    counts[-1] = rng.integers(1, 4)
+    return values.astype(float), counts
+
+
+def test_empty_top_atoms_compare_like_their_trimmed_copies():
+    """Atoms of zero mass above the top of a histogram or categorical change
+    no verdict against a random histogram, in either order."""
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        values, counts = _random_pmf(rng, 6)
+        padding = values[-1] + np.cumsum(rng.uniform(0.5, 3.0, rng.integers(1, 4)))
+        padded_values = np.concatenate([values, padding])
+        padded_counts = np.concatenate([counts, np.zeros(len(padding), dtype=int)])
+        other = HistogramDistribution(*_random_pmf(rng, 7))
+        probs = counts / counts.sum()
+        padded_probs = padded_counts / padded_counts.sum()
+        pairs = [
+            (HistogramDistribution(values, counts),
+             HistogramDistribution(padded_values, padded_counts)),
+            (CategoricalDistribution([f"c{v}" for v in values[::-1]], values[::-1], probs[::-1]),
+             CategoricalDistribution(
+                 [f"c{v}" for v in padded_values[::-1]], padded_values[::-1], padded_probs[::-1]
+             )),
+        ]
+        for trimmed, padded in pairs:
+            for flip in (False, True):
+                def verdict(d):
+                    a, b = (other, d) if flip else (d, other)
+                    v = compare(a, b, common_scale=True)
+                    return v.relation, v.decided_by
+
+                assert verdict(padded) == verdict(trimmed)
