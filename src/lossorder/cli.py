@@ -46,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _default_kmax():
-    raw = os.environ.get("LOSSORDER_KMAX")
-    if raw is None:
-        return ordering.DEFAULT_K_MAX
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"LOSSORDER_KMAX must be an integer, got {raw!r}")
-
-
 def load_source(spec):
     """Resolve a distribution source argument.
 
@@ -145,8 +135,7 @@ def _finish(report, d1, d2, verdict, threshold, certificate=_threshold_doc, extr
 def cmd_compare(args):
     n1, d1 = load_source(args.first)
     n2, d2 = load_source(args.second)
-    kmax = args.kmax if args.kmax else _default_kmax()
-    verdict = ordering.compare(d1, d2, k_max=kmax)
+    verdict = ordering.compare(d1, d2)
     report = {
         "inputs": [
             {"name": n1, "kind": _kind(d1)},
@@ -453,7 +442,6 @@ def build_parser():
     p.add_argument("--threshold", action="store_true", help="report the tail threshold x0")
     p.add_argument("--moments", type=int, metavar="K", help="report the first K moments")
     p.add_argument("--plot-data", action="store_true", help="report density/survival grids")
-    p.add_argument("--kmax", type=int, help="moment-prefix length (default: LOSSORDER_KMAX or 64)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("kde", help="fit and compare KDEs of a split series")

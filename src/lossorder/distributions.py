@@ -8,12 +8,15 @@ lattice distributions with unbounded support.  All objects are immutable.
 
 A representation subclasses ``LossDistribution`` and implements ``support``,
 ``pdf`` (raising ``NoDensity`` if it has none), ``sf``, the survival function
-Pr(X > x) (``cdf`` defaults to 1 - sf), and ``log_moments(ks)``, the moments
-log E[X^k] for all orders in ``ks`` at once (``log_moment(k)`` is its checked
-one-order view).  Where it knows better than the generic forms, it overrides:
+Pr(X > x) (``cdf`` defaults to 1 - sf), and ``_log_moments(ks)``, the moments
+log E[X^k] for all orders in ``ks`` at once (``log_moments(ks)`` and
+``log_moment(k)`` are its checked views).  Where it knows better than the
+generic forms, it overrides:
 
-- ``derivative(x, k)``: the k-th density derivative (default: ``pdf`` at
-  k = 0, ``DerivativeUnavailable`` above);
+- ``expansion(x)``: (m, -log c_m, -c_{m+1} / c_m) of its density just below
+  x, f(x - t) = c_m t^m + c_{m+1} t^(m+1) + ..., from which
+  ``endpoint_key()`` orders compact supports at their common top (default:
+  ``NoDensity``);
 - ``isf(q)``: the inverse survival function (default: bisection on ``sf``);
 - ``logsf(x)``: log Pr(X > x) (default: the log of ``sf``, which underflows
   where the tail is far out);
@@ -22,7 +25,8 @@ one-order view).  Where it knows better than the generic forms, it overrides:
 
 The finite pmfs (categorical, histogram, point mass) give only
 ``descending_pmf()``, from which ``_FinitePmf`` derives their support,
-survival function and moments; the lattice gives ``truncated(a, b)``.
+survival function, moments and endpoint key, the mass of their top atom; the
+lattice gives ``truncated(a, b)``.
 
 Three class flags describe it to the comparison rules: ``has_density``,
 ``is_discrete`` and ``from_samples`` (a kernel estimate over raw samples).
@@ -58,7 +62,6 @@ from scipy.special import (
 
 from ._quad import bisect, expand_bound, log_power_integral
 from .errors import (
-    DerivativeUnavailable,
     EmptyTruncation,
     InvalidOrder,
     MomentsUndefined,
@@ -133,11 +136,6 @@ class TailKey(NamedTuple):
         return self._replace(const=self.const + float(const))
 
 
-def _check_order(k):
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
-
-
 class LossDistribution:
     """Common interface of all distribution representations."""
 
@@ -175,20 +173,31 @@ class LossDistribution:
         """Leading terms of -log sf(x) as x -> inf, or None if unknown."""
         return None
 
+    def endpoint_key(self):
+        """Terms of a compact support's upper end b, (-atom at b, m,
+        -log c_m, -c_{m+1} / c_m) for the density f(b - t) = c_m t^m +
+        c_{m+1} t^(m+1) + ... just below b.  Keys compare like tail keys:
+        the larger key is the lighter loss."""
+        return (0.0, *self.expansion(self.support.upper))
+
+    def expansion(self, x):
+        """(m, -log c_m, -c_{m+1} / c_m) of the density f(x - t) = c_m t^m +
+        c_{m+1} t^(m+1) + ... just below x."""
+        raise NoDensity(f"{type(self).__name__} has no density expansion")
+
     def log_moment(self, k):
         """log E[X^k] for integer k >= 1."""
-        _check_order(k)
-        return float(self.log_moments([int(k)])[0])
+        return float(self.log_moments([k])[0])
 
     def log_moments(self, ks):
-        """log E[X^k] for each order in ``ks``, as an array."""
-        raise NotImplementedError(f"{type(self).__name__} has no log_moments")
+        """log E[X^k] for each integer order k >= 1 in ``ks``, as an array."""
+        ks = np.asarray(ks)
+        if ks.dtype.kind not in "iu" or np.any(ks < 1):
+            raise InvalidOrder(f"moment orders must be positive integers, got {ks!r}")
+        return self._log_moments(ks)
 
-    def derivative(self, x, k):
-        """k-th derivative of the density at x."""
-        if k == 0:
-            return float(self.pdf(x))
-        raise DerivativeUnavailable(f"no derivative rule for {type(self).__name__}")
+    def _log_moments(self, ks):
+        raise NotImplementedError(f"{type(self).__name__} has no log_moments")
 
     def isf(self, q):
         """Inverse survival function, by bisection on ``sf`` over the support;
@@ -247,7 +256,13 @@ class _FinitePmf(LossDistribution):
         atoms, survival = self._survival_table
         return survival[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
 
-    def log_moments(self, ks):
+    def endpoint_key(self):
+        """The mass of the top atom, negated: an atom at the top is heavier
+        than any density there, and a larger atom than a smaller one."""
+        _, probs = self._atoms
+        return (-float(probs[probs > 0][0]),)
+
+    def _log_moments(self, ks):
         values, probs = self._atoms
         mask = probs > 0
         if (values[mask] <= 0).any():
@@ -403,13 +418,23 @@ class PiecewisePolyDensity(LossDistribution):
         )
         return np.clip(out / self._above[0], 0.0, 1.0).reshape(x.shape)[()]
 
-    def derivative(self, x, k):
-        """k-th one-sided derivative of the density at x (right endpoint uses
-        the final segment's polynomial)."""
-        idx = int(self._segment_index(np.asarray([x]))[0])
-        return float(self._polys[idx].deriv(k)(x)) if k <= self._polys[idx].degree() else 0.0
+    def expansion(self, x):
+        """The terms from the Taylor coefficients at x of the segment below
+        x.  One below 1e-12 of the largest counts as 0, so that a rounding
+        residue where the segment vanishes is no density there."""
+        i = min(max(int(np.searchsorted(self._breaks, x)) - 1, 0), len(self._polys) - 1)
+        c = [float(v) for v in self._polys[i].coef]
+        for j in range(len(c) - 1):  # synthetic division: c[j] becomes p^(j)(x) / j!
+            for n in range(len(c) - 2, j - 1, -1):
+                c[n] += x * c[n + 1]
+        tol = 1e-12 * max(map(abs, c))
+        c = [0.0 if abs(v) <= tol else -v if j % 2 else v for j, v in enumerate(c)] + [0.0]
+        m = next((j for j, v in enumerate(c) if v), None)
+        if m is None:  # the segment is 0: lighter than any density
+            return np.inf, np.inf, 0.0
+        return m, -np.log(c[m]), -c[m + 1] / c[m]
 
-    def log_moments(self, ks):
+    def _log_moments(self, ks):
         return _integrated_log_moments(self, ks, self._breaks)
 
 
@@ -476,21 +501,6 @@ def _log_gammaincc(a, z):
     return out
 
 
-def hermite_he(u, k):
-    """Probabilists' Hermite polynomial He_k evaluated elementwise.
-
-    Uses the recurrence He_0 = 1, He_1 = u, He_k = u He_{k-1} - (k-1) He_{k-2}.
-    """
-    u = np.asarray(u, dtype=float)
-    prev = np.ones_like(u)
-    if k == 0:
-        return prev
-    cur = u.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, u * cur - (j - 1) * prev
-    return cur
-
-
 def gaussian_mixture_log_moments(centers, h, ks):
     """Exact log E[X^k] of the equal-weight mixture of N(c, h^2) over centres c:
     mean_i sum_{j even} C(k, j) c_i^(k-j) h^j (j-1)!!, summed with signs."""
@@ -508,26 +518,20 @@ def gaussian_mixture_log_moments(centers, h, ks):
     return np.array(out)
 
 
-def gaussian_mixture_derivative(centers, h, x, k):
-    """k-th derivative at x of that mixture: the mean of (-1)^k He_k(u) phi(u)
-    / h^(k+1) over u = (x - c) / h."""
-    u = (float(x) - np.asarray(centers, dtype=float)) / h
-    sign = -1.0 if k % 2 else 1.0
-    return float(sign * (hermite_he(u, k) * norm_pdf(u)).sum() / (len(u) * h ** (k + 1)))
-
-
 class _Family(NamedTuple):
     """Closed forms of one parametric family in the standardised variable
     z = (x - loc) / scale (or the probability q), with shape ``c``.
 
     Shaped families take a = shape, loc = 0 and live on [0, inf); the others
-    take a = loc and live on the real line.  ``tail_key(a, b)`` is the
+    take a = loc and live on the real line.  ``slope`` is d log f / dz, the
+    slope of the log density times the scale.  ``tail_key(a, b)`` is the
     ``TailKey`` of -log sf, and ``log_moments(ks, a, b)`` the exact log E[X^k]
     for an array of orders, or None where the moments need quadrature.
     """
 
     shaped: bool
     logpdf: Callable
+    slope: Callable
     pdf: Callable
     cdf: Callable
     sf: Callable
@@ -544,6 +548,7 @@ FAMILIES = {
     "gumbel": _Family(
         shaped=False,
         logpdf=lambda z, c: z - np.exp(z),
+        slope=lambda z, c: -expm1(z),
         pdf=lambda z, c: np.exp(z - np.exp(z)),
         cdf=lambda z, c: -expm1(-np.exp(z)),
         sf=lambda z, c: np.exp(-np.exp(z)),
@@ -555,6 +560,7 @@ FAMILIES = {
     "gamma": _Family(
         shaped=True,
         logpdf=lambda z, c: xlogy(c - 1.0, z) - z - gammaln(c),
+        slope=lambda z, c: (c - 1.0) / z - 1.0,
         pdf=lambda z, c: np.exp(xlogy(c - 1.0, z) - z - gammaln(c)),
         cdf=lambda z, c: gammainc(c, z),
         sf=lambda z, c: gammaincc(c, z),
@@ -570,6 +576,7 @@ FAMILIES = {
     "weibull": _Family(
         shaped=True,
         logpdf=lambda z, c: np.log(c) + xlogy(c - 1, z) - np.power(z, c),
+        slope=lambda z, c: (c - 1.0) / z - c * np.power(z, c - 1.0),
         pdf=lambda z, c: c * np.power(z, c - 1) * np.exp(-np.power(z, c)),
         cdf=lambda z, c: -expm1(-np.power(z, c)),
         sf=lambda z, c: np.exp(-np.power(z, c)),
@@ -582,6 +589,7 @@ FAMILIES = {
     "gaussian": _Family(
         shaped=False,
         logpdf=lambda z, c: -z**2 / 2.0 - _LOG_SQRT_2PI,
+        slope=lambda z, c: -z,
         pdf=lambda z, c: norm_pdf(z),
         cdf=lambda z, c: ndtr(z),
         sf=lambda z, c: ndtr(-z),
@@ -681,16 +689,15 @@ class ParametricDistribution(LossDistribution):
     def isf(self, q):
         return self._quantile(self._forms.isf, q, np.inf, self.support.lower)
 
-    def derivative(self, x, k):
-        """Closed form for the Gaussian, a one-component mixture."""
-        if self.family != "gaussian":
-            return super().derivative(x, k)
-        return gaussian_mixture_derivative([self.a], self.b, x, k)
+    def expansion(self, x):
+        # m = 0, and -c_1 / c_0 is the slope of log f
+        slope = self._on_support(self._forms.slope, x, np.nan) / self.b
+        return 0, -float(self.logpdf(x)), float(slope)
 
-    def log_moments(self, ks):
+    def _log_moments(self, ks):
         if self._forms.log_moments is None:
             return _integrated_log_moments(self, ks)
-        return self._forms.log_moments(np.asarray(ks), self.a, self.b)
+        return self._forms.log_moments(ks, self.a, self.b)
 
 
 def _integrated_log_moments(d, ks, breaks=()):
@@ -773,10 +780,12 @@ class TruncatedDistribution(LossDistribution):
         eff = window.intersect(base.support)
         # a difference of two base tails errs by eps times the larger one, so
         # the window is measured in survivals above the median, cdfs below it
-        lo_sf, hi_cdf = float(base.sf(eff.lower)), float(base.cdf(eff.upper))
-        self._tail = base.sf if lo_sf <= hi_cdf else base.cdf
-        self._ends = (float(self._tail(eff.lower)), float(self._tail(eff.upper)))
-        mass = abs(self._ends[1] - self._ends[0])
+        ends = [eff.lower, eff.upper]
+        self._sf_ends, self._cdf_ends = base.sf(ends), base.cdf(ends)
+        if self._sf_ends[0] <= self._cdf_ends[1]:
+            mass = float(self._sf_ends[0] - self._sf_ends[1])
+        else:
+            mass = float(self._cdf_ends[1] - self._cdf_ends[0])
         if mass <= 1e-300:
             raise EmptyTruncation(
                 f"window [{window.lower}, {window.upper}] carries no mass"
@@ -806,11 +815,19 @@ class TruncatedDistribution(LossDistribution):
             inside, self.base.logpdf(x) - np.log(self._mass), -np.inf
         )[()]
 
+    @cached_property
+    def _median(self):
+        return float(self.base.isf(0.5))
+
     def _share(self, x, end):
-        """Window mass between x and the lower (end 0) or upper (end 1) end."""
+        """Window mass between x and the lower (end 0) or upper (end 1) end,
+        from base survivals at points above the base median and base cdfs
+        below it: one base call per point."""
         x = np.clip(np.asarray(x, dtype=float), self.window.lower, self.window.upper)
-        part = np.abs(self._tail(x) - self._ends[end]) / self._mass
-        return np.clip(part, 0.0, 1.0)[()]
+        above = x >= self._median
+        tails = np.piecewise(x, [above, ~above], [self.base.sf, self.base.cdf])
+        part = np.abs(tails - np.where(above, self._sf_ends[end], self._cdf_ends[end]))
+        return np.clip(part / self._mass, 0.0, 1.0)[()]
 
     def cdf(self, x):
         return self._share(x, 0)
@@ -818,8 +835,11 @@ class TruncatedDistribution(LossDistribution):
     def sf(self, x):
         return self._share(x, 1)
 
-    def derivative(self, x, k):
-        return self.base.derivative(x, k) / self._mass
+    def expansion(self, x):
+        """The base's expansion, its c_m divided by the mass: finite where
+        ``pdf`` underflows."""
+        m, neg_log_c, ratio = self.base.expansion(x)
+        return m, neg_log_c + np.log(self._mass), ratio
 
     def logsf(self, x):
         if self.window.upper < np.inf:
@@ -835,7 +855,7 @@ class TruncatedDistribution(LossDistribution):
             return None
         return key.plus(np.log(self._mass))
 
-    def log_moments(self, ks):
+    def _log_moments(self, ks):
         return _integrated_log_moments(self, ks)
 
 
@@ -915,10 +935,9 @@ class LatticeDistribution(LossDistribution):
             probs=tuple(probs[i] for i in order),
         )
 
-    def log_moments(self, ks):
+    def _log_moments(self, ks):
         """The series sum_j pmf(j) j^k of every order, each cut where its
         terms have fallen far below their peak."""
-        ks = np.asarray(ks)
         rows, best = [], np.full(len(ks), -np.inf)
         ends = np.zeros(len(ks), dtype=int)  # terms in each finished series
         for j in range(max(self.lower, 1), self._CAP):

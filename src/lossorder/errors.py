@@ -13,10 +13,6 @@ class InvalidOrder(LossOrderError):
     """Moment order k must be a positive integer."""
 
 
-class DerivativeUnavailable(LossOrderError):
-    """The representation has no closed form for this density derivative."""
-
-
 class MomentsUndefined(LossOrderError):
     """The requested moment does not exist or is not representable in log-domain."""
 

@@ -1,15 +1,15 @@
-"""Gaussian kernel density estimation with closed-form derivatives.
+"""Gaussian kernel density estimation.
 
 Bandwidths follow Silverman's rule-of-thumb (the ``nrd0`` default of common
 statistics packages): h = 0.9 * min(sd, IQR/1.34) * n^(-1/5), with quartiles
 computed by linear interpolation (type-7).  The estimate is a Gaussian
 mixture: its moments are exact sums over the samples, linear in their number,
-and derivatives of any order come in closed form through probabilists'
-Hermite polynomials.  Density and survival evaluation sums the kernels over
-fixed-size blocks of points, so its memory is linear in the sample count
-whatever the number of points.  Two estimates are ordered by their tail
-keys, like any unbounded tails; ``effective_upper_bound()`` is reported but
-decides nothing.
+and the slope of its log density, which the endpoint keys of its truncations
+read, is a kernel-weighted mean.  Density and survival evaluation sums the
+kernels over fixed-size blocks of points, so its memory is linear in the
+sample count whatever the number of points.  Two estimates are ordered by
+their tail keys, like any unbounded tails; ``effective_upper_bound()`` is
+reported but decides nothing.
 """
 
 from dataclasses import dataclass
@@ -24,16 +24,14 @@ from .distributions import (
     _SQRT_2PI,
     LossDistribution,
     SupportInterval,
-    gaussian_mixture_derivative,
     gaussian_mixture_log_moments,
     gaussian_tail_key,
-    hermite_he,
     norm_pdf,
 )
 from .errors import EmptyData
 from .ordering import compare_kdes
 
-__all__ = ["KernelDensityEstimate", "fit", "hermite_he", "compare_kdes"]
+__all__ = ["KernelDensityEstimate", "fit", "compare_kdes"]
 
 #: kernel terms held at once by density and survival evaluation
 _BLOCK_TERMS = 2**16
@@ -116,11 +114,14 @@ class KernelDensityEstimate(LossDistribution):
         lo, hi = bisect(lambda x: self.sf(x) > q, lo, hi, 200)
         return 0.5 * (lo + hi)
 
-    def derivative(self, x, k):
-        """k-th derivative of the density at x, in closed form."""
-        return gaussian_mixture_derivative(self._x, self.bandwidth, x, k)
+    def expansion(self, x):
+        """m = 0, and the slope of log f: the mean of -u / h over the kernels
+        at u = (x - sample) / h, each weighted by its density."""
+        u = (float(x) - self._x) / self.bandwidth
+        weights = np.exp(0.5 * (np.min(u * u) - u * u))
+        return 0, -float(self.logpdf(x)), float(np.average(-u, weights=weights)) / self.bandwidth
 
-    def log_moments(self, ks):
+    def _log_moments(self, ks):
         """Exact log E[X^k] of the kernel mixture."""
         return gaussian_mixture_log_moments(self._x, self.bandwidth, ks)
 

@@ -2,11 +2,16 @@
 
 The order prefers the distribution whose moment sequence is eventually
 dominated: F1 is preferred over F2 when E[X1^k] <= E[X2^k] for all
-sufficiently large k.  On finite representations the decision reduces to
-fast special-case rules (lexicographic comparison of categorical pmf
-vectors, signed density derivatives at the right support endpoint, point
-mass rules, exact tail asymptotics for unbounded tails), all of which agree
-with the moment criterion where their domains overlap.
+sufficiently large k.  ``compare`` decides it by rules that agree with the
+moment criterion where their domains overlap: point mass rules, the support
+bound, lexicographic comparison of pmf vectors, and endpoint or tail keys.
+
+Two compact supports with a common top b are ordered by their endpoint keys,
+(-atom at b, m, -log c_m, -c_{m+1} / c_m) for the density f(b - t) = c_m t^m
++ c_{m+1} t^(m+1) + ... just below b: the high moments are governed by the
+mass nearest b, so an atom there is heavier than any density, and of two
+densities the one that vanishes faster, or is smaller, at b is the lighter.
+Keys that agree in every term are treated like tied tail keys.
 
 Two unbounded tails are ordered by their tail keys, the leading terms of
 -log sf(x) as x -> inf: the lighter tail has the eventually smaller
@@ -14,11 +19,12 @@ moments (the density-ratio lemma).  Keys hold only those leading terms:
 two kernel estimates whose keys agree are ordered by their centres, and
 other keys that agree are equivalent if the survivals agree over the bulk.
 Lattices have no key: two of them compare moment prefixes on a ladder of
-integer windows that end at survival quantiles.  An unbounded pair with
-neither two keys nor two lattices is refused with ``NoDensity``.
+integer windows that end at survival quantiles, the only rule that computes
+moments.  An unbounded pair with neither two keys nor two lattices is
+refused with ``NoDensity``.
 
 The rules ask each representation for what they need through the methods of
-``LossDistribution`` (``log_moments``, ``derivative``, ``isf``, ``sf``,
+``LossDistribution`` (``log_moments``, ``endpoint_key``, ``isf``, ``sf``,
 ``logsf``, ``tail_key``, and ``truncated`` and ``descending_pmf`` on the
 discrete ones) and its class flags (``has_density``, ``is_discrete``,
 ``from_samples``), and do not inspect its type to get them.  Only the
@@ -49,7 +55,6 @@ from .distributions import (
 )
 from .errors import (
     AdmissibilityError,
-    DerivativeUnavailable,
     MeaninglessComparison,
     NoDensity,
     SupportMismatch,
@@ -84,10 +89,6 @@ MOMENT_TIE_TOL = 1e-5
 EQUIVALENCE_TOL = 1e-9
 #: pmf entry tolerance for the categorical lexicographic rule
 PMF_TOL = 1e-12
-#: derivative tolerance for the derivative-lexicographic rule
-DERIVATIVE_TOL = 1e-9
-#: derivative orders examined before falling back to moments
-DEFAULT_K_DER = 16
 #: survival-dominance slack in the tail-threshold check
 SURVIVAL_TOL = 1e-9
 #: relative survival-dominance slack of continuous tail thresholds
@@ -98,7 +99,7 @@ _LOG_SURVIVAL_REL = -np.log1p(-SURVIVAL_REL)
 GRID_SIZE = 4096
 #: points of the geometric far-tail grid behind tail-key verdicts
 FAR_GRID_SIZE = 256
-#: relative tolerance under which two tail-key terms tie
+#: relative tolerance under which two terms of tail or endpoint keys tie
 TAIL_KEY_TOL = 1e-12
 #: truncation-ladder levels: windows end at survival quantiles 10^-j
 LADDER_LEVELS = tuple(10.0 ** -j for j in range(1, 7))
@@ -295,53 +296,54 @@ def compare_point_mass(a, y):
     return PreferenceVerdict(relation, decided_by="PointMassRule")
 
 
-def compare_smooth(f, g, k_max=DEFAULT_K_MAX):
-    """Derivative-lexicographic comparison at the common right endpoint.
+def compare_smooth(f, g):
+    """Endpoint-key comparison at the common upper end b of two compact
+    supports: the larger ``endpoint_key()`` is the lighter loss.
 
-    Examines ((-1)^k f_k(a))_k for k = 0..DEFAULT_K_DER, f_0 being the
-    density itself; the lexicographically smaller sequence is preferred.
-    Exhausted or unavailable derivatives fall back to the moment-sequence
-    comparison.
+    The stabilization index is the derivative order of the deciding term:
+    0 for the atom at b and for c_0, m for c_m and m + 1 for the ratio.
     """
     af, ag = f.support.upper, g.support.upper
     if not (np.isfinite(af) and np.isfinite(ag)):
         raise ValueError("compare_smooth needs compact supports")
     if abs(af - ag) > 1e-9 * max(1.0, abs(af)):
         raise ValueError("right endpoints differ; use the dispatcher")
-    a = af
-    try:
-        for k in range(DEFAULT_K_DER + 1):
-            sign = -1.0 if k % 2 else 1.0
-            vf = sign * f.derivative(a, k)
-            vg = sign * g.derivative(a, k)
-            tol = max(DERIVATIVE_TOL, DERIVATIVE_TOL * max(abs(vf), abs(vg)))
-            if abs(vf - vg) > tol:
-                relation = (
-                    Relation.FIRST_STRICT if vf < vg else Relation.SECOND_STRICT
-                )
-                return PreferenceVerdict(
-                    relation, decided_by="DerivativeLex", stabilization_index=k
-                )
-    except DerivativeUnavailable:
-        pass
-    return compare_moment_sequences(
-        moment_sequence(f, k_max), moment_sequence(g, k_max)
-    )
+    kf, kg = f.endpoint_key(), g.endpoint_key()
+    term, relation = _key_order(kf, kg)
+    if relation is None:
+        return _tie(f, g, "DerivativeLex", "endpoint keys")
+    order = 0 if term == 0 else int(min(kf[1], kg[1])) + (term == 3)
+    return PreferenceVerdict(relation, decided_by="DerivativeLex", stabilization_index=order)
 
 
 def _isf(d, q):
     return float(d.isf(q))
 
 
-def _tail_relation(kf, kg):
-    """The side with the larger tail key, the lighter tail; None when the
-    keys agree in every term to ``TAIL_KEY_TOL``."""
-    for a, b in zip(kf, kg):
+def _key_order(kf, kg):
+    """The first term where two keys differ by more than ``TAIL_KEY_TOL``,
+    and the side whose key is larger there, the lighter loss; (None, None)
+    when the keys agree in every term."""
+    for i, (a, b) in enumerate(zip(kf, kg)):
         if a == b:
             continue
         if not np.isfinite(a - b) or abs(a - b) > TAIL_KEY_TOL * max(abs(a), abs(b)):
-            return Relation.FIRST_STRICT if a > b else Relation.SECOND_STRICT
-    return None
+            return i, Relation.FIRST_STRICT if a > b else Relation.SECOND_STRICT
+    return None, None
+
+
+def _tie(f, g, rule, keys):
+    """Verdict on keys that agree in every term.  A key holds only leading
+    terms, so the tie stands for equivalence only where the survivals agree
+    over the bulk as well."""
+    _, _, sf, sg, viol = _search_grid(f, g)
+    differ = viol.any() or _violated(sg, sf).any()
+    return PreferenceVerdict(
+        Relation.INCOMPARABLE if differ else Relation.EQUIVALENT,
+        decided_by=rule,
+        caveat=f"the {keys} agree to {TAIL_KEY_TOL:g} in every term"
+        + (", but the survival functions differ" if differ else ""),
+    )
 
 
 def _ladder_verdicts(pairs, k_max):
@@ -371,21 +373,12 @@ def compare_extended(f, g, k_max=DEFAULT_K_MAX):
     """
     kf, kg = f.tail_key(), g.tail_key()
     if kf is not None and kg is not None:
-        relation = _tail_relation(kf, kg)
+        _, relation = _key_order(kf, kg)
         if relation is not None:
             return PreferenceVerdict(relation, decided_by="TailAsymptotics")
         if f.from_samples and g.from_samples:
             return _lexicographic(_centres(f), _centres(g), "TailAsymptotics")
-        # a key holds only the leading terms of -log sf: a tie stands for
-        # equivalence only where the survivals agree over the bulk as well
-        _, _, sf, sg, viol = _search_grid(f, g)
-        differ = viol.any() or _violated(sg, sf).any()
-        return PreferenceVerdict(
-            Relation.INCOMPARABLE if differ else Relation.EQUIVALENT,
-            decided_by="TailAsymptotics",
-            caveat=f"the tail keys agree to {TAIL_KEY_TOL:g} in every term"
-            + (", but the survival functions differ" if differ else ""),
-        )
+        return _tie(f, g, "TailAsymptotics", "tail keys")
     if not (kf is None and kg is None and f.is_discrete and g.is_discrete):
         lacking = " and ".join(
             f"the {side} ({type(d).__name__})"
@@ -442,12 +435,12 @@ def _check_admissible(d):
 def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
     """Decide the preference between two loss distributions.
 
-    Dispatches to the fastest applicable rule: point-mass rules, the
+    Dispatches to the first applicable rule: point-mass rules, the
     support-bound rule when upper bounds differ (one of them may be
-    infinite), lexicographic comparison for categorical/histogram data,
-    derivative-lexicographic comparison for smooth densities on a common
-    compact support, tail keys (or, for two lattices, the truncation ladder)
-    for two unbounded tails, and the moment-sequence scan for everything else.
+    infinite), lexicographic comparison for two categorical/histogram pmfs,
+    endpoint keys for any other pair on a common compact support, and tail
+    keys (or, for two lattices, the truncation ladder, which alone reads
+    ``k_max``) for two unbounded tails.
     """
     _check_admissible(d1)
     _check_admissible(d2)
@@ -476,11 +469,7 @@ def compare(d1, d2, k_max=DEFAULT_K_MAX, common_scale=False):
         return compare_extended(d1, d2, k_max=k_max)
     if d1.is_discrete and d2.is_discrete:
         return compare_categorical(d1, d2)
-    if d1.has_density and d2.has_density:
-        return compare_smooth(d1, d2, k_max=k_max)
-    return compare_moment_sequences(
-        moment_sequence(d1, k_max), moment_sequence(d2, k_max)
-    )
+    return compare_smooth(d1, d2)
 
 
 def _survivals(pref, other, xs):

@@ -267,48 +267,21 @@ class TestPropertySuite:
         st.lists(st.floats(0.0, 10.0), min_size=3, max_size=8),
         st.floats(0.3, 2.0),
         st.floats(-2.0, 2.0),
-        st.integers(1, 4),
     )
-    def test_kde_derivative_matches_finite_differences(
-        self, prop_timer, samples, h, offset, order
-    ):
+    def test_kde_slope_matches_logpdf_differences(self, prop_timer, samples, h, offset):
         k = KernelDensityEstimate(tuple(samples), h)
         x = samples[0] + offset * h
-        # wider stencils need a larger step to keep cancellation noise down
-        s = (1e-2 if order >= 3 else 5e-3) * h
-        f = k.pdf
-        if order == 1:
-            fd = (f(x + s) - f(x - s)) / (2 * s)
-        elif order == 2:
-            fd = (f(x + s) - 2 * f(x) + f(x - s)) / s**2
-        elif order == 3:
-            fd = (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s) - f(x - 2 * s)) / (2 * s**3)
-        else:
-            fd = (
-                f(x + 2 * s) - 4 * f(x + s) + 6 * f(x) - 4 * f(x - s) + f(x - 2 * s)
-            ) / s**4
-        exact = k.derivative(x, order)
-        # envelope of the term-by-term kernel sum: the natural magnitude of
-        # the derivative at x, which keeps the relative check meaningful near
-        # zero crossings where the signed terms cancel
-        from scipy import stats
-
-        u = (x - np.asarray(samples)) / h
-
-        def envelope(m):
-            return float(
-                np.sum(np.abs(kde.hermite_he(u, m)) * stats.norm.pdf(u))
-                / (k.n * h ** (m + 1))
-            )
-
-        # allowances beyond the relative target: second-order truncation of
-        # the stencil (scales with the (order+2)-th derivative) and floating
-        # point cancellation (scales with the density level, not the
-        # derivative level)
-        truncation = s**2 * envelope(order + 2)
-        roundoff = 64 * np.finfo(float).eps * float(f(x)) / s**order
-        tol = 1e-4 * max(abs(exact), envelope(order)) + truncation + roundoff + 1e-12
-        assert abs(fd - exact) <= tol
+        m, neg_log_c, slope = k.expansion(x)
+        assert m == 0 and neg_log_c == -k.logpdf(x)
+        s = 1e-4 * h
+        fd = (k.logpdf(x + s) - k.logpdf(x - s)) / (2 * s)
+        # the central difference errs by s^2 / 6 times the third derivative
+        # of log f, the third cumulant of the kernel-weighted -u / h: at most
+        # the cube of its span; rounding errs by a few eps of log f over s
+        span = (max(samples) - min(samples)) / h + 1.0
+        truncation = s**2 / 6 * (span / h) ** 3
+        roundoff = 64 * np.finfo(float).eps * (1.0 + abs(neg_log_c)) / s
+        assert abs(fd - slope) <= 1e-9 * abs(slope) + truncation + roundoff
 
     @PROP_SETTINGS
     @given(ranked_pair())

@@ -114,14 +114,6 @@ class TestCompare:
             cli.main(["compare"])  # missing positional arguments
         assert exc.value.code == 10
 
-    def test_kmax_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOSSORDER_KMAX", "32")
-        code, _, _ = run(capsys, "compare", "gamma:2,1", "gamma:3,1")
-        assert code in (0, 1)
-        monkeypatch.setenv("LOSSORDER_KMAX", "not-a-number")
-        code, _, err = run(capsys, "compare", "gamma:2,1", "gamma:3,1")
-        assert code == 10
-
     def test_report_kept_when_certificate_fails(self, capsys, nile_csv, monkeypatch):
         def no_certificate(*args):
             raise ThresholdNotFound("survival dominance never holds up to the support maximum")

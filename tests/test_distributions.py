@@ -155,10 +155,14 @@ class TestPiecewisePoly:
         exact, _ = integrate.quad(lambda x: x * (x - 1) / 2, 1, 3)
         assert np.exp(t.log_moment(1)) == pytest.approx(exact, rel=1e-9)
 
-    def test_derivative(self):
+    def test_expansion(self):
+        # f(x - t) = f(x) - f'(x) t: m = 0, -log f(x) and the slope of log f
         t = PiecewisePolyDensity([1.0, 3.0], [[-0.5, 0.5]])
-        assert t.derivative(2.0, 1) == pytest.approx(0.5)
-        assert t.derivative(2.0, 2) == 0.0
+        assert t.expansion(3.0) == pytest.approx((0, 0.0, 0.5))
+        assert t.expansion(2.0) == pytest.approx((0, np.log(2.0), 1.0))
+        # a density that vanishes at the top: f(3 - t) = t / 2
+        falling = PiecewisePolyDensity([1.0, 3.0], [[1.5, -0.5]])
+        assert falling.expansion(3.0) == pytest.approx((1, np.log(2.0), 0.0))
 
     def test_bad_density_rejected(self):
         with pytest.raises(ValueError):
@@ -576,8 +580,15 @@ class TestRepresentationProtocol:
         want = [d.log_moment(k) for k in range(1, 9)]
         np.testing.assert_allclose(moment_sequence(d, 8).log_moments, want, rtol=0, atol=1e-9)
 
-    def test_truncated_derivative_is_the_renormalised_base(self):
+    @pytest.mark.parametrize("name", REPRESENTATIONS)
+    def test_log_moments_check_their_orders(self, name):
+        for ks in ([0, 1], [1, 1.5], [2.0], [-1]):
+            with pytest.raises(InvalidOrder):
+                REPRESENTATIONS[name].log_moments(ks)
+
+    def test_truncated_expansion_is_the_renormalised_base(self):
         base = Gaussian(10.0, 2.0)
         t = truncate(base, 1.0, 20.0)
-        for k in range(1, 7):
-            assert t.derivative(20.0, k) == base.derivative(20.0, k) / t.renormalization
+        m, neg_log_c, ratio = t.expansion(20.0)
+        assert (m, ratio) == (0, -2.5)  # the slope -(x - mu) / sigma^2 of log f
+        assert neg_log_c == pytest.approx(-base.logpdf(20.0) + np.log(t.renormalization))

@@ -14,27 +14,9 @@ from lossorder.kde import (
     KernelDensityEstimate,
     compare_kdes,
     fit,
-    hermite_he,
     silverman_bandwidth,
 )
 from lossorder.ordering import Relation, compare, tail_threshold
-
-
-class TestHermite:
-    def test_low_orders(self):
-        u = np.array([-1.0, 0.0, 2.0])
-        assert hermite_he(u, 0) == pytest.approx([1.0, 1.0, 1.0])
-        assert hermite_he(u, 1) == pytest.approx(u)
-        assert hermite_he(u, 2) == pytest.approx(u**2 - 1)
-        assert hermite_he(u, 3) == pytest.approx(u**3 - 3 * u)
-
-    def test_recurrence_consistency(self):
-        rng = np.random.default_rng(7)
-        u = rng.normal(size=20)
-        for k in range(2, 10):
-            lhs = hermite_he(u, k)
-            rhs = u * hermite_he(u, k - 1) - (k - 1) * hermite_he(u, k - 2)
-            assert lhs == pytest.approx(rhs)
 
 
 class TestBandwidth:
@@ -85,18 +67,13 @@ class TestEstimate:
         for q in (0.5, 0.1, 1e-4):
             assert k.sf(k.isf(q)) == pytest.approx(q, rel=1e-9)
 
-    def test_derivative_matches_finite_differences(self):
+    def test_slope_matches_finite_differences(self):
         k = self.make()
         x, s = 3.3, 0.8 * 5e-3
-        f = k.pdf
-        fd = {
-            1: (f(x + s) - f(x - s)) / (2 * s),
-            2: (f(x + s) - 2 * f(x) + f(x - s)) / s**2,
-            3: (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s) - f(x - 2 * s)) / (2 * s**3),
-            4: (f(x + 2 * s) - 4 * f(x + s) + 6 * f(x) - 4 * f(x - s) + f(x - 2 * s)) / s**4,
-        }
-        for order, approx in fd.items():
-            assert k.derivative(x, order) == pytest.approx(approx, rel=1e-4)
+        m, neg_log_c, slope = k.expansion(x)
+        assert m == 0 and neg_log_c == -k.logpdf(x)
+        fd = (k.logpdf(x + s) - k.logpdf(x - s)) / (2 * s)
+        assert slope == pytest.approx(fd, rel=1e-4)
 
     def test_moment_vs_quadrature(self):
         k = self.make()
